@@ -49,7 +49,7 @@ class FilterState:
         self.predictive = np.asarray(self.predictive, dtype=float)
         self.posterior = np.asarray(self.posterior, dtype=float)
         for name, v in (("predictive", self.predictive), ("posterior", self.posterior)):
-            if np.any(v < 0.0) or abs(v.sum() - 1.0) > _SIMPLEX_TOL:
+            if not (v.min() >= 0.0 and abs(v.sum() - 1.0) <= _SIMPLEX_TOL):
                 raise ValueError(f"{name} is not a probability vector: {v!r}")
 
 

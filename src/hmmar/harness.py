@@ -37,6 +37,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the failing field."""
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (bool subclasses int; `true` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Everything a reproducible experiment run needs."""
@@ -52,7 +57,14 @@ class ExperimentConfig:
     mode: str = "both"
 
     def __post_init__(self):
-        self.eval_window = (int(self.eval_window[0]), int(self.eval_window[1]))
+        for name in ("n_total", "tau", "l", "repeats", "seed", "burn_in"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        window = self.eval_window
+        if not (isinstance(window, (list, tuple)) and len(window) == 2
+                and all(map(_is_int, window))):
+            raise ConfigError(f"eval_window must be two integers [lo, hi], got {window!r}")
+        self.eval_window = tuple(window)
         if self.n_total < 1:
             raise ConfigError(f"n_total must be >= 1, got {self.n_total}")
         lo, hi = self.eval_window
@@ -108,7 +120,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     kwargs = {k: doc[k] for k in ("tau", "l", "repeats", "seed", "burn_in", "mode")
               if k in doc}
     return ExperimentConfig(model=model, n_total=doc["n_total"],
-                            eval_window=tuple(doc["eval_window"]), **kwargs)
+                            eval_window=doc["eval_window"], **kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,10 +4,10 @@ A scalar series x_1, ..., x_n is mapped to N = 1 + floor((n - d) / l) vectors
 
     Y_i = (x_{(i-1)l + 1}, ..., x_{(i-1)l + d}),      i = 1, ..., N
 
-(1-based indices).  The density estimator places a normal kernel with
-covariance h^2 I_d on each Y_i; the scalar bandwidth h is chosen by
-minimizing the unbiased cross-validation score over (0, h_plus], where
-h_plus is the oversmoothed upper bound.
+(1-based indices).  A normal kernel with covariance h^2 I_d sits on each Y_i;
+h minimizes the unbiased cross-validation score over (0, h_plus], h_plus the
+oversmoothed bound.  The score runs over pairwise distances sorted once, skips
+pairs whose kernel is exactly 0.0 and takes one exp per remaining pair.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class EmbeddedSample:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != self.d:
             raise ValueError(f"vectors must have shape (N, {self.d})")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("vectors must be finite")
         if self.l < 1:
             raise ValueError(f"stride l must be >= 1, got {self.l}")
 
@@ -80,14 +82,14 @@ def kde_eval(sample: EmbeddedSample, bw: Bandwidth, y) -> float:
     return float(np.exp(-sq / (2.0 * h * h)).sum() / norm)
 
 
-def _ucv_from_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
-    """UCV score from the condensed pairwise squared distances (i < j)."""
-    h2 = h * h
-    # Each unordered pair appears twice in the ordered double sum.
-    pair_sum = 2.0 * float(
-        np.sum(2.0 ** (-d / 2.0) * np.exp(-sq_dists / (4.0 * h2))
-               - 2.0 * np.exp(-sq_dists / (2.0 * h2)))
-    )
+def _ucv_from_sorted_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
+    """UCV score from the ascending condensed pairwise squared distances (i < j)."""
+    four_h2 = 4.0 * h * h
+    # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
+    e = np.divide(sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)], -four_h2)
+    first = float(np.exp(e, out=e).sum())
+    # exp(-s/2h^2) = exp(-s/4h^2)^2; each unordered pair appears twice in the double sum.
+    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * float(np.square(e, out=e).sum()))
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
 
@@ -98,8 +100,8 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
         raise ValueError("UCV needs at least two embedded vectors")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    sq_dists = pdist(sample.vectors, "sqeuclidean")
-    return _ucv_from_sq_dists(sq_dists, sample.N, sample.d, h)
+    sq_dists = np.sort(pdist(sample.vectors, "sqeuclidean"))
+    return _ucv_from_sorted_sq_dists(sq_dists, sample.N, sample.d, h)
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
@@ -137,18 +139,18 @@ def ucv_bandwidth(sample: EmbeddedSample, grid_points: int = 32,
     """Bandwidth minimizing the UCV score on (0, h_plus].
 
     The score can carry spurious local minima near h = 0, so the search
-    bracket is [1e-6 h_plus, h_plus]; a coarse log-spaced grid first locates
-    the best basin, then golden-section search refines it to an abscissa
-    tolerance of 1e-4 h_plus.
+    bracket is [1e-6 h_plus, h_plus]; a coarse log-spaced grid locates the best
+    basin, then golden-section search refines it to 1e-4 h_plus.  Each score
+    evaluation reuses the once-sorted distances and skips the exact-zero pairs.
     """
     if sample.N < 2:
         raise ValueError("bandwidth selection needs at least two embedded vectors")
     h_plus = oversmoothed_bandwidth(sample)
-    sq_dists = pdist(sample.vectors, "sqeuclidean")
+    sq_dists = np.sort(pdist(sample.vectors, "sqeuclidean"))
     N, d = sample.N, sample.d
 
     def score(h: float) -> float:
-        return _ucv_from_sq_dists(sq_dists, N, d, h)
+        return _ucv_from_sorted_sq_dists(sq_dists, N, d, h)
 
     grid = np.geomspace(1e-6 * h_plus, h_plus, grid_points)
     values = np.array([score(h) for h in grid])

@@ -60,8 +60,12 @@ class ArStateParams:
         self.b = float(self.b)
         if self.a.ndim != 1:
             raise ValueError("a must be a 1-D coefficient vector")
-        if not self.b > 0.0:
-            raise ValueError(f"b must be positive, got {self.b}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not np.isfinite(self.a).all():
+            raise ValueError(f"a must be finite, got {self.a}")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
 
     @property
     def p(self) -> int:
@@ -94,7 +98,7 @@ class SwitchingArModel:
             q = np.asarray(self.initial_dist, dtype=float)
             if q.shape != (self.transition.M,):
                 raise ValueError(f"initial_dist must have length {self.transition.M}")
-            if np.any(q < 0.0) or abs(q.sum() - 1.0) > _ROW_SUM_TOL:
+            if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= _ROW_SUM_TOL):
                 raise ValueError("initial_dist must be a probability vector")
             self.initial_dist = q
 

@@ -62,10 +62,10 @@ class SimplexPoint:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim != 1:
             raise ValueError("u must be a vector")
-        if np.any(self.u < -1e-12):
-            raise ValueError(f"u has negative entries: min = {self.u.min():.3e}")
+        if not self.u.min() >= -1e-12:
+            raise ValueError(f"u has negative or NaN entries: min = {self.u.min():.3e}")
         total = self.u.sum()
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"u must sum to 1 within 1e-10, got {total!r}")
 
 

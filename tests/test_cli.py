@@ -28,6 +28,14 @@ def config_path(tmp_path):
     return str(path)
 
 
+def edit_config(path, change):
+    with open(path) as fh:
+        doc = json.load(fh)
+    change(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 def test_validate_ok(config_path, capsys):
     assert main(["validate", "--config", config_path]) == 0
     assert "config ok" in capsys.readouterr().out
@@ -38,6 +46,25 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     path.write_text('{"n_total": 5}')
     assert main(["validate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eval_window", [61, 100, 3]),
+    ("n_total", 100.5),
+    ("repeats", 2.5),
+    ("tau", True),
+    ("seed", "0"),
+])
+def test_validate_rejects_wrong_types(config_path, field, value, capsys):
+    edit_config(config_path, lambda doc: doc.update({field: value}))
+    assert main(["validate", "--config", config_path]) == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+def test_non_finite_model_parameter_exits_2(config_path, capsys):
+    edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=float("inf")))
+    assert main(["run", "--config", config_path]) == 2
+    assert "config error: model: b must be" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

@@ -204,6 +204,15 @@ class TestRunFilters:
         assert all(r.optimal is None and r.nonparam is not None for r in recs)
 
 
+@pytest.mark.parametrize("field", ["predictive", "posterior"])
+@pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0]])
+def test_filter_state_rejects_nan(field, bad):
+    vectors = {"predictive": np.array([0.5, 0.5]), "posterior": np.array([0.5, 0.5])}
+    vectors[field] = np.array(bad)
+    with pytest.raises(ValueError, match=field):
+        FilterState(n=3, **vectors)
+
+
 def test_estimator_output_tie_breaks_to_smaller_index():
     fs = FilterState(predictive=np.array([0.5, 0.5]), posterior=np.array([0.5, 0.5]), n=3)
     out = EstimatorOutput.from_state(fs)

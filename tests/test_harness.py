@@ -94,6 +94,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             config_from_dict(small_doc(**{field: value}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("eval_window", [61, 100, 3]),
+        ("eval_window", [61]),
+        ("eval_window", 61),
+        ("eval_window", [61.0, 100]),
+        ("eval_window", [True, 100]),
+        ("n_total", 100.5),
+        ("n_total", 100.0),
+        ("tau", True),
+        ("l", "1"),
+        ("repeats", 2.5),
+        ("seed", "0"),
+        ("seed", None),
+        ("burn_in", [50]),
+    ])
+    def test_wrong_types_name_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            config_from_dict(small_doc(**{field: value}))
+
+    @pytest.mark.parametrize("param,value", [
+        ("mu", float("nan")),
+        ("a", [float("inf"), 0.2]),
+        ("b", float("inf")),
+    ])
+    def test_non_finite_model_parameters_rejected(self, param, value):
+        doc = small_doc()
+        doc["model"]["states"][1][param] = value
+        with pytest.raises(ConfigError, match=f"^model: {param} must be"):
+            config_from_dict(doc)
+
     def test_eval_window_must_clear_warmup(self):
         with pytest.raises(ConfigError, match="warm-up"):
             config_from_dict(small_doc(eval_window=[20, 100]))

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist
 from scipy.stats import multivariate_normal
 
-from hmmar.kde import (Bandwidth, EmbeddedSample, conditional_weights, embed,
-                       embedding_heads, kde_eval, oversmoothed_bandwidth,
-                       ucv_bandwidth, ucv_objective)
+from hmmar.harness import example_config
+from hmmar.kde import (Bandwidth, EmbeddedSample, _golden_section,
+                       conditional_weights, embed, embedding_heads, kde_eval,
+                       oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
+from hmmar.model import simulate
 
 
 def generic_ucv(vectors: np.ndarray, H: np.ndarray) -> float:
@@ -31,6 +34,29 @@ def generic_ucv(vectors: np.ndarray, H: np.ndarray) -> float:
     return total + (4.0 * math.pi) ** (-d / 2.0) / (N * math.sqrt(np.linalg.det(H)))
 
 
+def reference_ucv_score(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
+    """UCV score from the condensed pairwise squared distances (i < j).
+
+    The straightforward form: two ``exp`` per pair, over every pair, in any
+    order.  Reference for the kernel behind ``ucv_objective``/``ucv_bandwidth``.
+    """
+    h2 = h * h
+    # Each unordered pair appears twice in the ordered double sum.
+    pair_sum = 2.0 * float(
+        np.sum(2.0 ** (-d / 2.0) * np.exp(-sq_dists / (4.0 * h2))
+               - 2.0 * np.exp(-sq_dists / (2.0 * h2)))
+    )
+    lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
+    return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
+
+
+def example_sample(seed: int) -> EmbeddedSample:
+    """The sample the nonparametric filter embeds for one example-model repeat."""
+    cfg = example_config()
+    traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, seed)
+    return embed(traj.x[:cfg.eval_window[1]], d=cfg.tau + 1, l=cfg.l)
+
+
 class TestEmbed:
     def test_four_points_dim2(self):
         emb = embed(np.array([1.0, 2.0, 3.0, 4.0]), d=2, l=1)
@@ -49,6 +75,11 @@ class TestEmbed:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             embed(np.array([1.0, 2.0]), d=3, l=1)
+
+    def test_non_finite_series_rejected(self):
+        # the UCV kernel would drop NaN distances instead of propagating them
+        with pytest.raises(ValueError, match="finite"):
+            embed(np.array([1.0, np.nan, 2.0, 3.0]), d=2, l=1)
 
 
 class TestKdeEval:
@@ -143,6 +174,21 @@ class TestUcvObjective:
         with pytest.raises(ValueError):
             ucv_objective(sample, 1.0)
 
+    def test_matches_two_exp_reference(self):
+        sample = example_sample(0)
+        sq = pdist(sample.vectors, "sqeuclidean")
+        h_plus = oversmoothed_bandwidth(sample)
+        # an h whose cutoff s = 746 * 4h^2 falls on the median pair
+        s_mid = np.sort(sq)[sq.size // 2]
+        h_cut = math.sqrt(s_mid / (4.0 * 746.0))
+        assert 1e-6 * h_plus < h_cut < h_plus
+        for h in [*np.geomspace(1e-6 * h_plus, h_plus, 64), h_cut]:
+            want = reference_ucv_score(sq, sample.N, sample.d, h)
+            assert ucv_objective(sample, h) == pytest.approx(want, rel=1e-12, abs=0.0)
+            # the skipped pairs are exactly the ones whose kernel is 0.0
+            skipped = sq[sq >= 746.0 * 4.0 * h * h]
+            assert not np.exp(-skipped / (4.0 * h * h)).any()
+
 
 class TestOversmoothedBandwidth:
     def test_reference_value_1d(self):
@@ -188,6 +234,21 @@ class TestUcvBandwidth:
         grid = np.geomspace(1e-6 * h_plus, h_plus, 10_000)
         grid_min = min(ucv_objective(sample, h) for h in grid)
         assert ucv_objective(sample, bw.h) <= grid_min + 1e-6
+
+    def test_matches_reference_search_exactly(self):
+        for seed in range(10):
+            sample = example_sample(seed)
+            sq = pdist(sample.vectors, "sqeuclidean")
+            h_plus = oversmoothed_bandwidth(sample)
+
+            def score(h):
+                return reference_ucv_score(sq, sample.N, sample.d, h)
+
+            grid = np.geomspace(1e-6 * h_plus, h_plus, 32)
+            k = int(np.argmin([score(h) for h in grid]))
+            h = _golden_section(score, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
+                                tol=1e-4 * h_plus)
+            assert ucv_bandwidth(sample).h == min(h, h_plus)
 
     def test_translation_leaves_selection_unchanged(self):
         rng = np.random.default_rng(13)

@@ -46,6 +46,18 @@ class TestArStateParams:
         with pytest.raises(ValueError):
             ArStateParams(0.0, [0.1], 0.0)
 
+    @pytest.mark.parametrize("field,mu,a,b", [
+        ("mu", np.nan, [0.1], 1.0),
+        ("mu", np.inf, [0.1], 1.0),
+        ("a", 0.0, [np.inf, 0.1], 1.0),
+        ("a", 0.0, [0.1, np.nan], 1.0),
+        ("b", 0.0, [0.1], np.inf),
+        ("b", 0.0, [0.1], np.nan),
+    ])
+    def test_rejects_non_finite(self, field, mu, a, b):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ArStateParams(mu, a, b)
+
 
 class TestSwitchingArModel:
     def test_state_count_must_match(self):
@@ -62,6 +74,11 @@ class TestSwitchingArModel:
     def test_initial_dist_checked(self):
         with pytest.raises(ValueError):
             example_model(initial_dist=[0.5, 0.5, 0.1])
+
+    @pytest.mark.parametrize("q", [[np.nan] * 3, [np.nan, 0.5, 0.5]])
+    def test_initial_dist_rejects_nan(self, q):
+        with pytest.raises(ValueError, match="initial_dist"):
+            example_model(initial_dist=q)
 
 
 class TestStationaryDistribution:

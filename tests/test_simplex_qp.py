@@ -44,6 +44,11 @@ class TestSimplexPoint:
         with pytest.raises(ValueError):
             SimplexPoint(u=np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("u", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_rejects_nan(self, u):
+        with pytest.raises(ValueError):
+            SimplexPoint(u=np.array(u))
+
 
 class TestSolveKkt:
     def test_symmetric_instance(self):
