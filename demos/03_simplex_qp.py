@@ -17,8 +17,7 @@ traj = simulate(config.model, n=600, burn_in=100, rng_seed=0)
 h = ucv_bandwidth(embed(traj.x, d=config.tau + 1, l=config.l)).h
 
 n = 550
-p = emission_mixture_problem(traj.x, n, config.model.states,
-                             tau=config.tau, l=config.l, h=h)
+p = emission_mixture_problem(traj.x, n, config.model, tau=config.tau, l=config.l, h=h)
 print(f"QP at step n={n}:")
 print("C =")
 print(np.round(p.C, 4))

@@ -13,18 +13,19 @@ config = example_config()
 traj = simulate(config.model, config.n_total, config.burn_in, rng_seed=0)
 lo, hi = config.eval_window
 
-records = run_filters(traj, config.model, tau=config.tau, l=config.l, eval_start=lo)
+run = run_filters(traj, config.model, tau=config.tau, l=config.l, eval_start=lo)
+truth = traj.s[lo - 1:hi]
+# each decision is the 1-based argmax of a (T, M) row; ties go to the smaller state
+decided = {name: getattr(run, name).argmax(axis=1) + 1
+           for name in ("optimal_posterior", "optimal_predictive",
+                        "nonparametric_posterior", "nonparametric_predictive")}
 
-def error(decision):
-    return np.mean([decision(rec) != traj.s[rec.n - 1] for rec in records])
+print(f"evaluation window n in [{lo}, {hi}], {truth.shape[0]} decisions")
+for method in ("optimal", "nonparametric"):
+    print(f"{method:<15}filtering error {np.mean(decided[f'{method}_posterior'] != truth):.3f}"
+          f"   prediction error {np.mean(decided[f'{method}_predictive'] != truth):.3f}")
 
-print(f"evaluation window n in [{lo}, {hi}], {len(records)} decisions")
-print(f"optimal        filtering error {error(lambda r: r.optimal_output.filtered_state):.3f}"
-      f"   prediction error {error(lambda r: r.optimal_output.predicted_state):.3f}")
-print(f"nonparametric  filtering error {error(lambda r: r.nonparam_output.filtered_state):.3f}"
-      f"   prediction error {error(lambda r: r.nonparam_output.predicted_state):.3f}")
-
-emit_trace(traj, records, "trace_demo.csv", n_states=config.model.M)
+emit_trace(traj, run, "trace_demo.csv")
 print("\nwrote trace_demo.csv (n, truth, observation, decisions, posteriors)")
 
 try:
@@ -34,14 +35,14 @@ try:
 except ImportError:
     print("matplotlib not available; skipping the figure")
 else:
-    ns = np.array([rec.n for rec in records])
+    ns = np.arange(lo, hi + 1)
     panels = [
-        ("hidden state s_n", traj.s[lo - 1:hi], "step"),
+        ("hidden state s_n", truth, "step"),
         ("observed x_n", traj.x[lo - 1:hi], "line"),
-        ("optimal filtering", [r.optimal_output.filtered_state for r in records], "step"),
-        ("nonparametric filtering", [r.nonparam_output.filtered_state for r in records], "step"),
-        ("optimal prediction", [r.optimal_output.predicted_state for r in records], "step"),
-        ("nonparametric prediction", [r.nonparam_output.predicted_state for r in records], "step"),
+        ("optimal filtering", decided["optimal_posterior"], "step"),
+        ("nonparametric filtering", decided["nonparametric_posterior"], "step"),
+        ("optimal prediction", decided["optimal_predictive"], "step"),
+        ("nonparametric prediction", decided["nonparametric_predictive"], "step"),
     ]
     fig, axes = plt.subplots(len(panels), 1, figsize=(9, 11), sharex=True)
     for ax, (title, ys, kind) in zip(axes, panels):

@@ -14,11 +14,7 @@ print(f"running {config.repeats} repeats (seeds {config.seed}..{config.seed + co
 summary = run_experiment(config)
 
 print(f"\n{'method':<15}{'task':<12}{'mean error':>12}{'std error':>11}")
-rows = [("optimal", "filtering", summary.filtering_error_optimal),
-        ("optimal", "prediction", summary.prediction_error_optimal),
-        ("nonparametric", "filtering", summary.filtering_error_nonparametric),
-        ("nonparametric", "prediction", summary.prediction_error_nonparametric)]
-for method, task, st in rows:
+for method, task, st in summary.rows():
     print(f"{method:<15}{task:<12}{st.mean:>11.1%}{st.stderr:>10.1%}")
 print(f"\nQP fallback steps across all repeats: {summary.qp_fallback_steps}")
 print("expected at 50 repeats: optimal ~16%/27%, nonparametric ~23%/37%")

@@ -9,10 +9,9 @@ simplex-constrained QP) when it is not.  A Monte-Carlo harness compares the
 two on repeated experiments.
 """
 
-from .filters import (EstimatorOutput, FilterState, StepRecord,
-                      nonparametric_step, optimal_step, posterior_update,
+from .filters import (FilterRun, nonparametric_step, optimal_step, posterior_update,
                       run_filters, warmup_threshold)
-from .gaussian import Gaussian1, emission_density, normal_pdf, product_integral
+from .gaussian import product_integral
 from .harness import (ConfigError, ErrorStat, ErrorSummary, ExperimentConfig,
                       config_from_dict, emit_trace, example_config,
                       example_config_path, load_config, run_experiment)
@@ -28,14 +27,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArStateParams", "Bandwidth", "ConfigError", "EmbeddedSample",
-    "ErrorStat", "ErrorSummary", "EstimatorOutput", "ExperimentConfig",
-    "FilterState", "Gaussian1", "QpProblem", "SimplexPoint", "StepRecord",
-    "SwitchingArModel", "Trajectory", "TransitionMatrix",
-    "brute_force_solve", "conditional_weights", "config_from_dict",
-    "embed", "emission_density", "emit_trace", "example_config",
+    "ErrorStat", "ErrorSummary", "ExperimentConfig", "FilterRun",
+    "QpProblem", "SimplexPoint", "SwitchingArModel", "Trajectory",
+    "TransitionMatrix", "brute_force_solve", "conditional_weights",
+    "config_from_dict", "embed", "emit_trace", "example_config",
     "example_config_path", "is_positive_definite", "kde_eval",
-    "load_config", "model_from_dict", "nonparametric_step", "normal_pdf",
-    "objective", "optimal_step", "oversmoothed_bandwidth",
+    "load_config", "model_from_dict", "nonparametric_step", "objective", "optimal_step", "oversmoothed_bandwidth",
     "posterior_update", "product_integral", "run_experiment", "run_filters",
     "simulate", "solve_kkt", "stationary_distribution", "ucv_bandwidth",
     "ucv_objective", "warmup_threshold",

@@ -35,13 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_summary(summary) -> None:
     print(f"{'method':<15}{'task':<12}{'mean_error':>11}{'stderr':>10}")
-    rows = [("optimal", "filtering", summary.filtering_error_optimal),
-            ("optimal", "prediction", summary.prediction_error_optimal),
-            ("nonparametric", "filtering", summary.filtering_error_nonparametric),
-            ("nonparametric", "prediction", summary.prediction_error_nonparametric)]
-    for method, task, st in rows:
-        if st is not None:
-            print(f"{method:<15}{task:<12}{st.mean:>11.4f}{st.stderr:>10.4f}")
+    for method, task, st in summary.rows():
+        print(f"{method:<15}{task:<12}{st.mean:>11.4f}{st.stderr:>10.4f}")
     print(f"repeats: {summary.repeats}   qp fallback steps: {summary.qp_fallback_steps}")
 
 

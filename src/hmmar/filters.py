@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import Gaussian1, product_integral
+from .gaussian import product_integral
 from .kde import Bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
-from .model import ArStateParams, SwitchingArModel, Trajectory, stationary_distribution
+from .model import SwitchingArModel, Trajectory, stationary_distribution
 from .simplex_qp import QpProblem, solve_kkt
 
 _SIMPLEX_TOL = 1e-10
@@ -36,51 +36,18 @@ def warmup_threshold(p: int, tau: int) -> int:
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
-@dataclass(eq=False)
-class FilterState:
-    """Predictive and posterior state distributions at time index n."""
-
-    predictive: np.ndarray
-    posterior: np.ndarray
-    n: int
-    qp_fallback: bool = False
-
-    def __post_init__(self):
-        self.predictive = np.asarray(self.predictive, dtype=float)
-        self.posterior = np.asarray(self.posterior, dtype=float)
-        for name, v in (("predictive", self.predictive), ("posterior", self.posterior)):
-            if not (v.min() >= 0.0 and abs(v.sum() - 1.0) <= _SIMPLEX_TOL):
-                raise ValueError(f"{name} is not a probability vector: {v!r}")
-
-
-@dataclass(frozen=True)
-class EstimatorOutput:
-    """Argmax decisions (1-based state indices; ties go to the smaller index)."""
-
-    filtered_state: int
-    predicted_state: int
-
-    @classmethod
-    def from_state(cls, state: FilterState) -> "EstimatorOutput":
-        return cls(filtered_state=int(np.argmax(state.posterior)) + 1,
-                   predicted_state=int(np.argmax(state.predictive)) + 1)
-
-
-def log_emissions(x_n: float, history: np.ndarray, states: list[ArStateParams]) -> np.ndarray:
+def log_emissions(x_n: float, history: np.ndarray, model: SwitchingArModel) -> np.ndarray:
     """log f_m(x_n) for every state m, given the last p observations."""
     history = np.asarray(history, dtype=float)
-    p = states[0].p
+    p = model.ar_order
     if history.shape != (p,):
         raise ValueError(f"history must hold {p} values (most recent first)")
-    mu = np.array([st.mu for st in states])
-    b2 = np.array([st.b for st in states]) ** 2
-    a = np.stack([st.a for st in states])
-    means = mu + a @ history - a.sum(axis=1) * mu
-    return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - means) ** 2 / (2.0 * b2)
+    b2 = model.b2
+    return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - model.ar_means(history)) ** 2 / (2.0 * b2)
 
 
 def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
-                     states: list[ArStateParams]) -> np.ndarray:
+                     model: SwitchingArModel) -> np.ndarray:
     """Posterior from the predictive vector and the new observation.
 
     Implements the Bayes update posterior_m = f_m(x_n) u_m / sum_j f_j(x_n) u_j
@@ -88,7 +55,7 @@ def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
     the whole vector.
     """
     predictive = np.asarray(predictive, dtype=float)
-    log_f = log_emissions(x_n, history, states)
+    log_f = log_emissions(x_n, history, model)
     with np.errstate(divide="ignore"):
         log_post = log_f + np.log(predictive)
     log_post -= log_post.max()
@@ -96,17 +63,20 @@ def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
     return post / post.sum()
 
 
-def optimal_step(state: FilterState, x_n: float, history: np.ndarray,
-                 model: SwitchingArModel) -> FilterState:
-    """One recursion of the optimal filter (transition matrix known)."""
-    predictive = state.posterior @ model.transition.p
+def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
+                 model: SwitchingArModel) -> tuple[np.ndarray, np.ndarray]:
+    """One recursion of the optimal filter (transition matrix known).
+
+    Takes the previous step's posterior; returns ``(predictive, posterior)``
+    of this step.
+    """
+    predictive = posterior @ model.transition.p
     predictive = np.maximum(predictive, 0.0)
     predictive /= predictive.sum()
-    posterior = posterior_update(predictive, x_n, history, model.states)
-    return FilterState(predictive=predictive, posterior=posterior, n=state.n + 1)
+    return predictive, posterior_update(predictive, x_n, history, model)
 
 
-def emission_mixture_problem(x: np.ndarray, n: int, states: list[ArStateParams],
+def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
                              tau: int, l: int, h: float) -> QpProblem:
     """Coefficients of the L2-projection objective at step n.
 
@@ -116,20 +86,15 @@ def emission_mixture_problem(x: np.ndarray, n: int, states: list[ArStateParams],
     density of state m.  Only x_1^{n-1} enters.
     """
     x = np.asarray(x, dtype=float)
-    p = states[0].p
-    history = x[n - 1 - p:n - 1][::-1]
-    mu = np.array([st.mu for st in states])
-    b2 = np.array([st.b for st in states]) ** 2
-    a = np.stack([st.a for st in states])
-    means = mu + a @ history - a.sum(axis=1) * mu
+    p = model.ar_order
+    means = model.ar_means(x[n - 1 - p:n - 1][::-1])
+    b2 = model.b2
 
-    M = len(states)
+    M = model.M
     C = np.empty((M, M))
     for i in range(M):
-        C[i, i] = product_integral(Gaussian1(means[i], b2[i]), Gaussian1(means[i], b2[i]))
-        for j in range(i + 1, M):
-            C[i, j] = C[j, i] = product_integral(Gaussian1(means[i], b2[i]),
-                                                 Gaussian1(means[j], b2[j]))
+        for j in range(i, M):
+            C[i, j] = C[j, i] = product_integral(means[i], b2[i], means[j], b2[j])
 
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
@@ -140,59 +105,74 @@ def emission_mixture_problem(x: np.ndarray, n: int, states: list[ArStateParams],
     return QpProblem(C=C, c=c)
 
 
-def nonparametric_step(x: np.ndarray, n: int, states: list[ArStateParams],
-                       tau: int, l: int, h: float,
-                       min_step: Optional[int] = None) -> FilterState:
-    """Filter step without the transition matrix.
+def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
+                       tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Filter step without the transition matrix; returns ``(predictive, posterior, fallback)``.
 
     The predictive vector is the simplex-QP solution built from x_1^{n-1};
-    the posterior applies the usual Bayes update with x_n.  For
-    n <= min_step (default :func:`warmup_threshold`) the predictive falls
-    back to uniform, since the kernel estimate has too few vectors to mean
-    anything; such steps should be excluded from error metrics.
+    the posterior applies the usual Bayes update with x_n.  ``model`` supplies
+    only the per-state emission parameters.  For n <= :func:`warmup_threshold`
+    the predictive falls back to uniform, since the kernel estimate has too
+    few vectors to mean anything; such steps should be excluded from error
+    metrics.  ``fallback`` marks a QP solved by the projected-gradient safety
+    net.
     """
     x = np.asarray(x, dtype=float)
-    M = len(states)
-    p = states[0].p
+    M = model.M
+    p = model.ar_order
     if n <= max(p, tau + 1):
         raise ValueError(f"step index n = {n} needs more history (p = {p}, tau = {tau})")
     if x.shape[0] < n:
         raise ValueError(f"series has {x.shape[0]} values, step n = {n} needs x_n")
-    if min_step is None:
-        min_step = warmup_threshold(p, tau)
 
     fallback = False
-    if M == 1:
-        predictive = np.ones(1)
-    elif n <= min_step:
+    if M == 1 or n <= warmup_threshold(p, tau):
         predictive = np.full(M, 1.0 / M)
     else:
-        sol = solve_kkt(emission_mixture_problem(x, n, states, tau, l, h))
+        sol = solve_kkt(emission_mixture_problem(x, n, model, tau, l, h))
         predictive = sol.u
         fallback = sol.fallback
 
     history = x[n - 1 - p:n - 1][::-1]
-    posterior = posterior_update(predictive, x[n - 1], history, states)
-    return FilterState(predictive=predictive, posterior=posterior, n=n,
-                       qp_fallback=fallback)
+    return predictive, posterior_update(predictive, x[n - 1], history, model), fallback
 
 
 @dataclass(eq=False)
-class StepRecord:
-    """Per-step output of :func:`run_filters` for one time index."""
+class FilterRun:
+    """Output of :func:`run_filters`; row k of every array is step n = eval_start + k.
 
-    n: int
-    optimal: Optional[FilterState] = None
-    optimal_output: Optional[EstimatorOutput] = None
-    nonparam: Optional[FilterState] = None
-    nonparam_output: Optional[EstimatorOutput] = None
+    Each method has a (T, M) predictive array, rows P(S_n = . | x_1^{n-1}),
+    and a posterior array, rows P(S_n = . | x_1^n); both are None for a
+    method that did not run.  ``qp_fallback`` (T,) marks nonparametric steps
+    whose QP fell back to projected gradient.  The decision of a row is its
+    ``argmax + 1`` (1-based; ties go to the smaller index).
+    """
+
+    eval_start: int
+    qp_fallback: np.ndarray
+    optimal_predictive: Optional[np.ndarray] = None
+    optimal_posterior: Optional[np.ndarray] = None
+    nonparametric_predictive: Optional[np.ndarray] = None
+    nonparametric_posterior: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for name in ("optimal_predictive", "optimal_posterior",
+                     "nonparametric_predictive", "nonparametric_posterior"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            bad = ~((v >= 0.0).all(axis=1) & (np.abs(v.sum(axis=1) - 1.0) <= _SIMPLEX_TOL))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"{name} at step n = {self.eval_start + k} "
+                                 f"is not a probability vector: {v[k]!r}")
 
 
 def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
                 l: int = 1, eval_start: int = 1,
                 bandwidth: Optional[Bandwidth] = None,
                 compute_optimal: bool = True,
-                compute_nonparametric: bool = True) -> list[StepRecord]:
+                compute_nonparametric: bool = True) -> FilterRun:
     """Run the selected filters over a trajectory, recording n >= eval_start.
 
     The optimal filter starts from the stationary distribution at the first
@@ -200,7 +180,8 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     filter is evaluated independently at each recorded step (it carries no
     state across n).  If ``bandwidth`` is None it is selected once by UCV on
     the delay embedding (dimension tau + 1) of the whole series; pass an
-    explicit value to pin it, e.g. when checking causality.
+    explicit value to pin it, e.g. when checking causality.  Every row is
+    checked to be a probability vector before the run is returned.
     """
     x = trajectory.x
     n_len = x.shape[0]
@@ -210,26 +191,26 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
         raise ValueError(f"eval_start must exceed the warm-up threshold {thresh}")
     if not compute_nonparametric and eval_start <= p:
         raise ValueError(f"eval_start must exceed the AR order {p}")
-    records = [StepRecord(n=n) for n in range(eval_start, n_len + 1)]
-    if not records:
-        return records
+    T = max(n_len + 1 - eval_start, 0)
+    M = model.M
+    opt_pred = opt_post = npar_pred = npar_post = None
+    fallback = np.zeros(T, dtype=bool)
 
     if compute_optimal:
-        pi = stationary_distribution(model.transition)
-        state = FilterState(predictive=pi, posterior=pi, n=p)
+        opt_pred, opt_post = np.empty((T, M)), np.empty((T, M))
+        posterior = stationary_distribution(model.transition)
         for n in range(p + 1, n_len + 1):
-            state = optimal_step(state, x[n - 1], x[n - 1 - p:n - 1][::-1], model)
+            predictive, posterior = optimal_step(posterior, x[n - 1], x[n - 1 - p:n - 1][::-1],
+                                                 model)
             if n >= eval_start:
-                rec = records[n - eval_start]
-                rec.optimal = state
-                rec.optimal_output = EstimatorOutput.from_state(state)
+                opt_pred[n - eval_start], opt_post[n - eval_start] = predictive, posterior
 
     if compute_nonparametric:
-        if bandwidth is None:
+        npar_pred, npar_post = np.empty((T, M)), np.empty((T, M))
+        if bandwidth is None and T:
             bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
-        for rec in records:
-            fs = nonparametric_step(x, rec.n, model.states, tau, l, bandwidth.h)
-            rec.nonparam = fs
-            rec.nonparam_output = EstimatorOutput.from_state(fs)
+        for k in range(T):
+            npar_pred[k], npar_post[k], fallback[k] = nonparametric_step(
+                x, eval_start + k, model, tau, l, bandwidth.h)
 
-    return records
+    return FilterRun(eval_start, fallback, opt_pred, opt_post, npar_pred, npar_post)

@@ -1,71 +1,16 @@
-"""Normal-density primitives shared by the filters and the KDE machinery.
-
-Everything here returns linear-scale densities; the callers that sum or
-compare many densities (filters, conditional weights) do their own log-space
-bookkeeping.
-"""
+"""Closed-form overlap of two normal densities: the entries of the QP's matrix C."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from .model import ArStateParams
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Gaussian1:
-    """Univariate normal with mean ``mean`` and variance ``var`` (> 0)."""
+def product_integral(mean1: float, var1: float, mean2: float, var2: float) -> float:
+    """Integral over the real line of the product of N(mean1, var1) and N(mean2, var2).
 
-    mean: float
-    var: float
-
-    def __post_init__(self):
-        if not self.var > 0.0:
-            raise ValueError(f"var must be positive, got {self.var}")
-
-
-def normal_pdf(x: float, g: Gaussian1) -> float:
-    """Density of N(g.mean, g.var) at x."""
-    z = (x - g.mean) ** 2 / (2.0 * g.var)
-    return math.exp(-z) / math.sqrt(2.0 * math.pi * g.var)
-
-
-def log_normal_pdf(x: float, g: Gaussian1) -> float:
-    """log of :func:`normal_pdf`; safe far into the tails."""
-    return -0.5 * (_LOG_2PI + math.log(g.var)) - (x - g.mean) ** 2 / (2.0 * g.var)
-
-
-def product_integral(g1: Gaussian1, g2: Gaussian1) -> float:
-    """Integral over the real line of the product of two normal densities.
-
-    Equals the density of N(g2.mean, g1.var + g2.var) evaluated at g1.mean,
-    hence symmetric in its arguments.
+    Equals the density of N(mean2, var1 + var2) evaluated at mean1, hence
+    symmetric in its two (mean, var) pairs.  Both variances must be positive.
     """
-    return normal_pdf(g1.mean, Gaussian1(g2.mean, g1.var + g2.var))
-
-
-def ar_mean(history: np.ndarray, params: ArStateParams) -> float:
-    """Conditional mean mu + sum_i a_i (x[n-i] - mu) given the last p values.
-
-    ``history`` is ordered most recent first: (x[n-1], ..., x[n-p]).
-    """
-    history = np.asarray(history, dtype=float)
-    if history.shape != (params.p,):
-        raise ValueError(
-            f"history must hold exactly {params.p} lagged values, got shape {history.shape}"
-        )
-    return float(params.mu + params.a @ (history - params.mu))
-
-
-def emission_density(x_n: float, history: np.ndarray, params: ArStateParams) -> float:
-    """Conditional observation density f_m(x_n) for the state with ``params``.
-
-    This is a normal density centered on the AR prediction from ``history``
-    (most recent value first) with variance b^2.
-    """
-    return normal_pdf(x_n, Gaussian1(ar_mean(history, params), params.b ** 2))
+    var = var1 + var2
+    z = (mean1 - mean2) ** 2 / (2.0 * var)
+    return math.exp(-z) / math.sqrt(2.0 * math.pi * var)

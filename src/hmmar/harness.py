@@ -24,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import StepRecord, run_filters, warmup_threshold
+from .filters import FilterRun, run_filters, warmup_threshold
 from .model import SwitchingArModel, Trajectory, model_from_dict, simulate
 
 MODES = ("optimal", "nonparametric", "both")
 
-_METHOD_KEYS = ("optimal_filtering", "optimal_prediction",
-                "nonparametric_filtering", "nonparametric_prediction")
+#: (method, task) of each summary row, in output order.
+_ROWS = (("optimal", "filtering"), ("optimal", "prediction"),
+         ("nonparametric", "filtering"), ("nonparametric", "prediction"))
 
 
 class ConfigError(ValueError):
@@ -166,45 +167,44 @@ class ErrorSummary:
     qp_fallback_steps: int
     per_repeat: dict
 
+    def rows(self) -> list[tuple[str, str, ErrorStat]]:
+        """(method, task, stat) of every method that ran, in ``summary.csv`` order."""
+        stats = ((method, task, getattr(self, f"{task}_error_{method}")) for method, task in _ROWS)
+        return [row for row in stats if row[2] is not None]
+
 
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal representation."""
     return repr(float(value))
 
 
-def _run_one(task) -> tuple[dict, int, Optional[list]]:
+def _run_one(task) -> tuple[dict, int, Optional[FilterRun]]:
     """Worker for a single repeat; top-level so process pools can pickle it."""
     config, r, trace_dir, keep = task
     traj = simulate(config.model, config.n_total, config.burn_in, config.seed + r)
     lo, hi = config.eval_window
     clipped = Trajectory(s=traj.s[:hi], x=traj.x[:hi])
-    records = run_filters(
+    run = run_filters(
         clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
         compute_optimal=config.with_optimal,
         compute_nonparametric=config.with_nonparametric,
     )
+    truth = clipped.s[lo - 1:]
     errors: dict = {}
     if config.with_optimal:
-        errors["optimal_filtering"] = _error_fraction(
-            records, clipped, lambda rec: rec.optimal_output.filtered_state)
-        errors["optimal_prediction"] = _error_fraction(
-            records, clipped, lambda rec: rec.optimal_output.predicted_state)
-    fallbacks = 0
+        errors["optimal_filtering"] = _error_fraction(run.optimal_posterior, truth)
+        errors["optimal_prediction"] = _error_fraction(run.optimal_predictive, truth)
     if config.with_nonparametric:
-        errors["nonparametric_filtering"] = _error_fraction(
-            records, clipped, lambda rec: rec.nonparam_output.filtered_state)
-        errors["nonparametric_prediction"] = _error_fraction(
-            records, clipped, lambda rec: rec.nonparam_output.predicted_state)
-        fallbacks = sum(1 for rec in records if rec.nonparam.qp_fallback)
+        errors["nonparametric_filtering"] = _error_fraction(run.nonparametric_posterior, truth)
+        errors["nonparametric_prediction"] = _error_fraction(run.nonparametric_predictive, truth)
     if trace_dir is not None:
-        emit_trace(clipped, records, Path(trace_dir) / f"trace_{r}.csv",
-                   n_states=config.model.M)
-    return errors, fallbacks, (records if keep else None)
+        emit_trace(clipped, run, Path(trace_dir) / f"trace_{r}.csv")
+    return errors, int(run.qp_fallback.sum()), (run if keep else None)
 
 
-def _error_fraction(records, trajectory, decision) -> float:
-    wrong = sum(1 for rec in records if decision(rec) != trajectory.s[rec.n - 1])
-    return wrong / len(records)
+def _error_fraction(probs: np.ndarray, truth: np.ndarray) -> float:
+    """Share of rows whose argmax decision (1-based) differs from the true state."""
+    return np.count_nonzero(probs.argmax(axis=1) + 1 != truth) / truth.shape[0]
 
 
 def _worker_count(repeats: int) -> int:
@@ -228,7 +228,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
 
     When ``out_dir`` is given, writes ``summary.csv`` there, plus one
     ``trace_<r>.csv`` per repeat if ``trace`` is set.  With
-    ``keep_records=True`` returns ``(summary, records_per_repeat)`` instead.
+    ``keep_records=True`` returns ``(summary, runs)`` instead, ``runs`` holding
+    one :class:`~hmmar.filters.FilterRun` per repeat.
     """
     if trace and out_dir is None:
         raise ConfigError("trace output requires out_dir")
@@ -248,7 +249,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
         results = [_run_one(t) for t in tasks]
 
     per_repeat = {}
-    for key in _METHOD_KEYS:
+    for key in (f"{method}_{task}" for method, task in _ROWS):
         if key in results[0][0]:
             per_repeat[key] = np.array([res[0][key] for res in results])
     per_repeat["qp_fallback"] = np.array([res[1] for res in results])
@@ -279,54 +280,36 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
 
 def write_summary(summary: ErrorSummary, path) -> None:
     """Write the aggregate error table as CSV (LF line endings)."""
-    rows = []
-    stats = [("optimal", "filtering", summary.filtering_error_optimal),
-             ("optimal", "prediction", summary.prediction_error_optimal),
-             ("nonparametric", "filtering", summary.filtering_error_nonparametric),
-             ("nonparametric", "prediction", summary.prediction_error_nonparametric)]
-    for method, task, st in stats:
-        if st is not None:
-            rows.append(f"{method},{task},{_fmt(st.mean)},{_fmt(st.stderr)},{summary.repeats}")
-    text = "method,task,mean_error,stderr,repeats\n" + "".join(r + "\n" for r in rows)
+    rows = [f"{method},{task},{_fmt(st.mean)},{_fmt(st.stderr)},{summary.repeats}\n"
+            for method, task, st in summary.rows()]
+    text = "method,task,mean_error,stderr,repeats\n" + "".join(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def emit_trace(trajectory: Trajectory, records: list[StepRecord], path,
-               n_states: Optional[int] = None) -> None:
+def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
     """Write the per-step trace CSV for one run.
 
     Columns: n, true state, observation, filtered/predicted decisions for
     both methods, then the M posterior probabilities per method.  Methods
     that were not computed leave their cells empty.
     """
-    if n_states is None:
-        for rec in records:
-            for fs in (rec.optimal, rec.nonparam):
-                if fs is not None:
-                    n_states = fs.posterior.shape[0]
-                    break
-            if n_states is not None:
-                break
+    posteriors = (run.optimal_posterior, run.nonparametric_posterior)
+    decided = (*posteriors, run.optimal_predictive, run.nonparametric_predictive)
+    decisions = [None if v is None else v.argmax(axis=1) + 1 for v in decided]
+    n_states = next((v.shape[1] for v in decided if v is not None), None)
     header = ["n", "s_true", "x", "s_opt_filter", "s_np_filter", "s_opt_pred", "s_np_pred"]
     if n_states is not None:
         header += [f"post_opt_{m}" for m in range(1, n_states + 1)]
         header += [f"post_np_{m}" for m in range(1, n_states + 1)]
     lines = [",".join(header)]
-    for rec in records:
-        idx = rec.n - 1
-        opt, nxp = rec.optimal_output, rec.nonparam_output
-        row = [str(rec.n), str(int(trajectory.s[idx])), _fmt(trajectory.x[idx]),
-               str(opt.filtered_state) if opt else "",
-               str(nxp.filtered_state) if nxp else "",
-               str(opt.predicted_state) if opt else "",
-               str(nxp.predicted_state) if nxp else ""]
+    for k in range(run.qp_fallback.shape[0]):
+        idx = run.eval_start + k - 1
+        row = [str(idx + 1), str(int(trajectory.s[idx])), _fmt(trajectory.x[idx])]
+        row += ["" if d is None else str(d[k]) for d in decisions]
         if n_states is not None:
-            for fs in (rec.optimal, rec.nonparam):
-                if fs is not None:
-                    row += [_fmt(v) for v in fs.posterior]
-                else:
-                    row += [""] * n_states
+            for post in posteriors:
+                row += [""] * n_states if post is None else [_fmt(v) for v in post[k]]
         lines.append(",".join(row))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

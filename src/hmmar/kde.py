@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+#: Points of the log-spaced grid that brackets the UCV minimum.
+_GRID_POINTS = 32
+#: Iteration cap of the golden-section refinement.
+_MAX_ITER = 200
 
 
 @dataclass(eq=False)
@@ -41,6 +46,11 @@ class EmbeddedSample:
     @property
     def N(self) -> int:
         return self.vectors.shape[0]
+
+    @cached_property
+    def sorted_sq_dists(self) -> np.ndarray:
+        """Ascending condensed pairwise squared distances (i < j), computed once."""
+        return np.sort(pdist(self.vectors, "sqeuclidean"))
 
 
 @dataclass(frozen=True)
@@ -100,8 +110,7 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
         raise ValueError("UCV needs at least two embedded vectors")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    sq_dists = np.sort(pdist(sample.vectors, "sqeuclidean"))
-    return _ucv_from_sorted_sq_dists(sq_dists, sample.N, sample.d, h)
+    return _ucv_from_sorted_sq_dists(sample.sorted_sq_dists, sample.N, sample.d, h)
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
@@ -115,12 +124,12 @@ def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
     return (4.0 / (sample.N * (sample.d + 2))) ** (1.0 / (sample.d + 4)) * sig_max
 
 
-def _golden_section(f, a: float, b: float, tol: float, max_iter: int = 200) -> float:
+def _golden_section(f, a: float, b: float, tol: float) -> float:
     """Minimize f on [a, b]; returns the midpoint of the final bracket."""
     c = b - _GOLDEN * (b - a)
     d_ = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d_)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         if fc < fd:
@@ -134,8 +143,7 @@ def _golden_section(f, a: float, b: float, tol: float, max_iter: int = 200) -> f
     return 0.5 * (a + b)
 
 
-def ucv_bandwidth(sample: EmbeddedSample, grid_points: int = 32,
-                  max_iter: int = 200) -> Bandwidth:
+def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     """Bandwidth minimizing the UCV score on (0, h_plus].
 
     The score can carry spurious local minima near h = 0, so the search
@@ -146,18 +154,13 @@ def ucv_bandwidth(sample: EmbeddedSample, grid_points: int = 32,
     if sample.N < 2:
         raise ValueError("bandwidth selection needs at least two embedded vectors")
     h_plus = oversmoothed_bandwidth(sample)
-    sq_dists = np.sort(pdist(sample.vectors, "sqeuclidean"))
-    N, d = sample.N, sample.d
-
-    def score(h: float) -> float:
-        return _ucv_from_sorted_sq_dists(sq_dists, N, d, h)
-
-    grid = np.geomspace(1e-6 * h_plus, h_plus, grid_points)
+    score = partial(ucv_objective, sample)
+    grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
     values = np.array([score(h) for h in grid])
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
-    h = _golden_section(score, lo, hi, tol=1e-4 * h_plus, max_iter=max_iter)
+    hi = grid[min(k + 1, _GRID_POINTS - 1)]
+    h = _golden_section(score, lo, hi, tol=1e-4 * h_plus)
     return Bandwidth(h=min(h, h_plus))
 
 

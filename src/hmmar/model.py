@@ -10,6 +10,7 @@ States are 1-based in all public interfaces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,6 +102,12 @@ class SwitchingArModel:
             if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= _ROW_SUM_TOL):
                 raise ValueError("initial_dist must be a probability vector")
             self.initial_dist = q
+        # Per-state parameters as arrays, built once for the filters' inner loops.
+        self.mu = np.array([st.mu for st in self.states])
+        self.a = np.stack([st.a for st in self.states])
+        self.b = np.array([st.b for st in self.states])
+        self.b2 = self.b ** 2
+        self._a_mu = self.a.sum(axis=1) * self.mu
 
     @property
     def M(self) -> int:
@@ -109,6 +116,13 @@ class SwitchingArModel:
     @property
     def ar_order(self) -> int:
         return self.states[0].p
+
+    def ar_means(self, history: np.ndarray) -> np.ndarray:
+        """AR conditional mean mu + sum_i a_i (x[n-i] - mu) of every state.
+
+        ``history`` is ordered most recent first: (x[n-1], ..., x[n-p]).
+        """
+        return self.mu + self.a @ history - self._a_mu
 
 
 @dataclass(eq=False)
@@ -193,9 +207,9 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     for k in range(1, total):
         s[k] = np.searchsorted(cum_rows[s[k - 1]], u[k], side="right")
 
-    mu = np.array([st.mu for st in model.states])
-    a = np.stack([st.a for st in model.states])
-    b = np.array([st.b for st in model.states])
+    # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from
+    # it, and every simulated trajectory's bytes depend on this expression.
+    mu, a, b = model.mu, model.a, model.b
     xi = rng_noise.standard_normal(total)
 
     x = np.empty(p + total)
@@ -210,6 +224,11 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
 
 _MODEL_KEYS = {"transition", "states", "initial_dist"}
 _STATE_KEYS = {"mu", "a", "b"}
+
+
+def _is_number(value) -> bool:
+    """True for a real number that is not a bool (`true` is no coefficient)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def model_from_dict(doc: dict) -> SwitchingArModel:
@@ -231,6 +250,8 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
     for key in ("transition", "states"):
         if key not in doc:
             raise ValueError(f"model document is missing '{key}'")
+    if not isinstance(doc["states"], list):
+        raise ValueError(f"states must be a list of objects, got {doc['states']!r}")
     states = []
     for i, sdoc in enumerate(doc["states"]):
         if not isinstance(sdoc, dict):
@@ -241,6 +262,12 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
         missing = _STATE_KEYS - set(sdoc)
         if missing:
             raise ValueError(f"states[{i}] is missing {sorted(missing)}")
+        for key in ("mu", "b"):
+            if not _is_number(sdoc[key]):
+                raise ValueError(f"states[{i}].{key} must be a number, got {sdoc[key]!r}")
+        a = sdoc["a"]
+        if not (_is_number(a) or isinstance(a, list) and all(map(_is_number, a))):
+            raise ValueError(f"states[{i}].a must be a list of numbers, got {a!r}")
         states.append(ArStateParams(mu=sdoc["mu"], a=sdoc["a"], b=sdoc["b"]))
     return SwitchingArModel(
         transition=TransitionMatrix(np.asarray(doc["transition"], dtype=float)),

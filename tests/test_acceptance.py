@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 import hmmar
-from hmmar.filters import FilterState, optimal_step, posterior_update, run_filters
-from hmmar.gaussian import Gaussian1, normal_pdf, product_integral
+from hmmar.filters import optimal_step, posterior_update, run_filters
+from hmmar.gaussian import product_integral
 from hmmar.kde import Bandwidth, EmbeddedSample, embed, kde_eval, oversmoothed_bandwidth, \
     ucv_bandwidth, ucv_objective
 from hmmar.model import simulate, stationary_distribution
@@ -95,16 +96,15 @@ def test_criterion_4_filter_oracle_equivalence():
     model = config.model
     traj = simulate(model, 1000, burn_in=100, rng_seed=123)
     p = model.ar_order
-    pi = stationary_distribution(model.transition)
-    state = FilterState(predictive=pi, posterior=pi, n=p)
+    posterior = stationary_distribution(model.transition)
     worst = 0.0
     for n in range(p + 1, len(traj) + 1):
-        true_predictive = state.posterior @ model.transition.p
+        true_predictive = posterior @ model.transition.p
         true_predictive /= true_predictive.sum()
         hist = traj.x[n - 1 - p:n - 1][::-1]
-        substituted = posterior_update(true_predictive, traj.x[n - 1], hist, model.states)
-        state = optimal_step(state, traj.x[n - 1], hist, model)
-        worst = max(worst, float(np.max(np.abs(substituted - state.posterior))))
+        substituted = posterior_update(true_predictive, traj.x[n - 1], hist, model)
+        _, posterior = optimal_step(posterior, traj.x[n - 1], hist, model)
+        worst = max(worst, float(np.max(np.abs(substituted - posterior))))
     ok = worst <= 1e-12
     report(4, "true predictive reproduces optimal posterior",
            ok, f"max posterior deviation {worst:.2e} over {len(traj) - p} steps (<= 1e-12)")
@@ -116,10 +116,9 @@ def test_criterion_5_gaussian_identities():
     worst_pi = 0.0
     for m1, v1 in zip(means, variances):
         for m2, v2 in zip(means[::-1], variances[::-1]):
-            g1, g2 = Gaussian1(m1, v1), Gaussian1(m2, v2)
-            oracle, _ = quad(lambda t: normal_pdf(t, g1) * normal_pdf(t, g2),
+            oracle, _ = quad(lambda t: norm.pdf(t, m1, np.sqrt(v1)) * norm.pdf(t, m2, np.sqrt(v2)),
                              -np.inf, np.inf)
-            worst_pi = max(worst_pi, abs(product_integral(g1, g2) - oracle))
+            worst_pi = max(worst_pi, abs(product_integral(m1, v1, m2, v2) - oracle))
 
     rng = np.random.default_rng(31)
     sample1 = EmbeddedSample(vectors=rng.normal(size=(4, 1)), d=1, l=1)
@@ -170,18 +169,18 @@ def test_criterion_6_ucv_correctness():
 
 
 def test_criterion_7_simplex_invariants(example_run):
-    _, _, per_repeat_records = example_run
+    _, _, runs = example_run
     checked = 0
     worst_sum = 0.0
     clean = True
-    for records in per_repeat_records:
-        for rec in records:
-            for fs in (rec.optimal, rec.nonparam):
-                for v in (fs.predictive, fs.posterior):
-                    checked += 1
-                    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-                        clean = False
-                    worst_sum = max(worst_sum, abs(float(v.sum()) - 1.0))
+    for run in runs:
+        for vs in (run.optimal_predictive, run.optimal_posterior,
+                   run.nonparametric_predictive, run.nonparametric_posterior):
+            for v in vs:
+                checked += 1
+                if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+                    clean = False
+                worst_sum = max(worst_sum, abs(float(v.sum()) - 1.0))
     ok = clean and worst_sum <= 1e-10
     report(7, "simplex invariants over a full experiment",
            ok, f"{checked} vectors checked, max |sum - 1| = {worst_sum:.2e}, "

@@ -67,6 +67,19 @@ def test_non_finite_model_parameter_exits_2(config_path, capsys):
     assert "config error: model: b must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,edit", [
+    ("states[0].mu", lambda model: model["states"][0].update(mu=None)),
+    ("states[0].mu", lambda model: model["states"][0].update(mu={})),
+    ("states[0].b", lambda model: model["states"][0].update(b=[0.2])),
+    ("states[0].a", lambda model: model["states"][0].update(a={})),
+    ("states", lambda model: model.update(states=3)),
+])
+def test_non_numeric_model_document_exits_2(config_path, field, edit, capsys):
+    edit_config(config_path, lambda doc: edit(doc["model"]))
+    assert main(["validate", "--config", config_path]) == 2
+    assert f"config error: model: {field} must be" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "none.json")]) == 2
 

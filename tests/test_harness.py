@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmmar.filters import run_filters
+from hmmar.filters import FilterRun, run_filters
 from hmmar.harness import (ConfigError, ExperimentConfig, config_from_dict,
                            emit_trace, example_config, load_config, override,
                            run_experiment, write_summary)
@@ -168,14 +169,14 @@ class TestRunExperiment:
 
     def test_summary_matches_records(self):
         cfg = config_from_dict(small_doc(repeats=2))
-        summary, per_repeat_records = run_experiment(cfg, keep_records=True)
+        summary, runs = run_experiment(cfg, keep_records=True)
         lo, hi = cfg.eval_window
         means = []
-        for r, records in enumerate(per_repeat_records):
+        for r, run in enumerate(runs):
             traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed + r)
-            errs = [rec.optimal_output.filtered_state != traj.s[rec.n - 1]
-                    for rec in records]
-            assert [rec.n for rec in records] == list(range(lo, hi + 1))
+            assert run.eval_start == lo
+            assert run.optimal_posterior.shape == (hi - lo + 1, cfg.model.M)
+            errs = run.optimal_posterior.argmax(axis=1) + 1 != traj.s[lo - 1:hi]
             means.append(np.mean(errs))
         assert summary.filtering_error_optimal.mean == pytest.approx(np.mean(means))
 
@@ -223,7 +224,8 @@ class TestEmitTrace:
     def test_empty_records_write_header_only(self, tmp_path):
         traj = Trajectory(s=[1, 2], x=[0.0, 1.0])
         path = tmp_path / "trace.csv"
-        emit_trace(traj, [], path, n_states=2)
+        empty = np.zeros((0, 2))
+        emit_trace(traj, FilterRun(3, np.zeros(0, dtype=bool), empty, empty, empty, empty), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("n,s_true,x,s_opt_filter,s_np_filter,s_opt_pred,s_np_pred")
@@ -232,30 +234,31 @@ class TestEmitTrace:
     def test_roundtrip_and_row_count(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        records = run_filters(traj, cfg.model, tau=cfg.tau, l=cfg.l,
-                              eval_start=cfg.eval_window[0])
+        run = run_filters(traj, cfg.model, tau=cfg.tau, l=cfg.l,
+                          eval_start=cfg.eval_window[0])
         path = tmp_path / "trace.csv"
-        emit_trace(traj, records, path, n_states=3)
+        emit_trace(traj, run, path)
         lines = path.read_text().splitlines()
         lo, hi = cfg.eval_window
         assert len(lines) == 1 + (hi - lo + 1)
         header = lines[0].split(",")
-        for line, rec in zip(lines[1:], records):
+        for k, line in enumerate(lines[1:]):
+            n = lo + k
             cells = dict(zip(header, line.split(",")))
-            assert int(cells["n"]) == rec.n
-            assert float(cells["x"]) == traj.x[rec.n - 1]  # exact round trip
-            assert int(cells["s_opt_filter"]) == rec.optimal_output.filtered_state
-            assert int(cells["s_np_pred"]) == rec.nonparam_output.predicted_state
+            assert int(cells["n"]) == n
+            assert float(cells["x"]) == traj.x[n - 1]  # exact round trip
+            assert int(cells["s_opt_filter"]) == np.argmax(run.optimal_posterior[k]) + 1
+            assert int(cells["s_np_pred"]) == np.argmax(run.nonparametric_predictive[k]) + 1
             for m in range(3):
-                assert float(cells[f"post_np_{m+1}"]) == rec.nonparam.posterior[m]
+                assert float(cells[f"post_np_{m+1}"]) == run.nonparametric_posterior[k, m]
 
     def test_missing_method_leaves_cells_empty(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        records = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
-                              compute_nonparametric=False)
+        run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
+                          compute_nonparametric=False)
         path = tmp_path / "trace.csv"
-        emit_trace(traj, records, path, n_states=3)
+        emit_trace(traj, run, path)
         first = path.read_text().splitlines()[1].split(",")
         header = path.read_text().splitlines()[0].split(",")
         cells = dict(zip(header, first))
@@ -286,3 +289,14 @@ def test_write_summary_format(tmp_path):
         assert 0.0 <= float(mean) <= 1.0
         assert float(stderr) >= 0.0
         assert int(repeats) == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense"])
+def test_summary_matches_golden_bytes(name, tmp_path):
+    # summary.csv fixed when the file was committed: any change to either
+    # filter's decisions, the bandwidth search or the CSV format shows here
+    run_experiment(load_config(DATA / f"{name}.json"), out_dir=tmp_path)
+    assert (tmp_path / "summary.csv").read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()

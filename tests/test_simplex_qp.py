@@ -172,15 +172,18 @@ class TestIsPositiveDefinite:
 
     def test_duplicated_emission_states(self):
         from hmmar.filters import emission_mixture_problem
-        from hmmar.model import ArStateParams
+        from hmmar.model import ArStateParams, SwitchingArModel, TransitionMatrix
+        chain = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
         states = [ArStateParams(0.5, [0.2], 0.3), ArStateParams(0.5, [0.2], 0.3)]
         rng = np.random.default_rng(47)
         x = rng.normal(size=60)
-        p = emission_mixture_problem(x, n=60, states=states, tau=2, l=1, h=0.4)
+        model = SwitchingArModel(chain, states)
+        p = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
         assert not is_positive_definite(p.C)
         # distinct states give a PD matrix
         states[1] = ArStateParams(1.5, [0.1], 0.4)
-        p2 = emission_mixture_problem(x, n=60, states=states, tau=2, l=1, h=0.4)
+        model = SwitchingArModel(chain, states)
+        p2 = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
         assert is_positive_definite(p2.C)
 
 
