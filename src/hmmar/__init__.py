@@ -20,20 +20,19 @@ from .kde import (Bandwidth, EmbeddedSample, conditional_weights, embed,
 from .model import (ArStateParams, SwitchingArModel, Trajectory,
                     TransitionMatrix, model_from_dict, simulate,
                     stationary_distribution)
-from .simplex_qp import (QpProblem, SimplexPoint, brute_force_solve,
-                         is_positive_definite, objective, solve_kkt)
+from .simplex_qp import SimplexPoint, is_positive_definite, solve_kkt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArStateParams", "Bandwidth", "ConfigError", "EmbeddedSample",
-    "ErrorStat", "ErrorSummary", "ExperimentConfig", "FilterRun",
-    "QpProblem", "SimplexPoint", "SwitchingArModel", "Trajectory",
-    "TransitionMatrix", "brute_force_solve", "conditional_weights",
-    "config_from_dict", "embed", "emit_trace", "example_config",
-    "example_config_path", "is_positive_definite", "kde_eval",
-    "load_config", "model_from_dict", "nonparametric_step", "objective", "optimal_step", "oversmoothed_bandwidth",
-    "posterior_update", "product_integral", "run_experiment", "run_filters",
-    "simulate", "solve_kkt", "stationary_distribution", "ucv_bandwidth",
-    "ucv_objective", "warmup_threshold",
+    "ArStateParams", "Bandwidth", "ConfigError", "EmbeddedSample", "ErrorStat",
+    "ErrorSummary", "ExperimentConfig", "FilterRun", "SimplexPoint",
+    "SwitchingArModel", "Trajectory", "TransitionMatrix",
+    "conditional_weights", "config_from_dict", "embed", "emit_trace",
+    "example_config", "example_config_path", "is_positive_definite",
+    "kde_eval", "load_config", "model_from_dict", "nonparametric_step",
+    "optimal_step", "oversmoothed_bandwidth", "posterior_update",
+    "product_integral", "run_experiment", "run_filters", "simulate",
+    "solve_kkt", "stationary_distribution", "ucv_bandwidth", "ucv_objective",
+    "warmup_threshold",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from .gaussian import product_integral
 from .kde import Bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
 from .model import SwitchingArModel, Trajectory, stationary_distribution
-from .simplex_qp import QpProblem, solve_kkt
+from .simplex_qp import solve_kkt
 
 _SIMPLEX_TOL = 1e-10
 
@@ -77,8 +77,8 @@ def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
 
 
 def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
-                             tau: int, l: int, h: float) -> QpProblem:
-    """Coefficients of the L2-projection objective at step n.
+                             tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(C, c)`` of the L2-projection objective at step n.
 
     C[i, j] is the integral of the product of the emission densities of
     states i and j (a closed-form normal evaluation); c[m] integrates the
@@ -102,7 +102,7 @@ def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
     kernels = np.exp(-(heads[:, None] - means[None, :]) ** 2 / (2.0 * var)) \
         / np.sqrt(2.0 * np.pi * var)
     c = beta @ kernels
-    return QpProblem(C=C, c=c)
+    return C, c
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
@@ -129,7 +129,7 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
     if M == 1 or n <= warmup_threshold(p, tau):
         predictive = np.full(M, 1.0 / M)
     else:
-        sol = solve_kkt(emission_mixture_problem(x, n, model, tau, l, h))
+        sol = solve_kkt(*emission_mixture_problem(x, n, model, tau, l, h))
         predictive = sol.u
         fallback = sol.fallback
 

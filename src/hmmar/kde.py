@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import pdist
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -189,8 +190,7 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int, h: float) -> np
     xs = x[:n - 1]
     N = 1 + (xs.shape[0] - d) // l
 
-    idx = l * np.arange(N)[:, None] + np.arange(tau)[None, :]
-    windows = xs[idx]
+    windows = sliding_window_view(xs, tau)[::l][:N]  # row i: x_{il+1}, ..., x_{il+tau}
     query = xs[n - 1 - tau:n - 1]
     log_w = -np.sum((windows - query) ** 2, axis=1) / (2.0 * h * h)
     log_w -= log_w.max()

@@ -67,6 +67,9 @@ class ArStateParams:
             raise ValueError(f"a must be finite, got {self.a}")
         if not 0.0 < self.b < np.inf:
             raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not self.b * self.b > 0.0:
+            raise ValueError(f"b must have a nonzero square (b^2 is the emission variance), "
+                             f"got {self.b}")
 
     @property
     def p(self) -> int:
@@ -231,6 +234,13 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _float_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an array of numbers, got {doc[key]!r}") from None
+
+
 def model_from_dict(doc: dict) -> SwitchingArModel:
     """Build a SwitchingArModel from its JSON document form.
 
@@ -269,8 +279,9 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
         if not (_is_number(a) or isinstance(a, list) and all(map(_is_number, a))):
             raise ValueError(f"states[{i}].a must be a list of numbers, got {a!r}")
         states.append(ArStateParams(mu=sdoc["mu"], a=sdoc["a"], b=sdoc["b"]))
+    initial = doc.get("initial_dist")
     return SwitchingArModel(
-        transition=TransitionMatrix(np.asarray(doc["transition"], dtype=float)),
+        transition=TransitionMatrix(_float_array(doc, "transition")),
         states=states,
-        initial_dist=doc.get("initial_dist"),
+        initial_dist=None if initial is None else _float_array(doc, "initial_dist"),
     )

@@ -1,17 +1,17 @@
 """Quadratic minimization over the probability simplex.
 
 Solves  min_u  u' C u - 2 c' u  subject to  u >= 0, sum(u) = 1  by
-enumerating the 2^M assignments of which member of each pair (u_i, lambda_i)
-vanishes, solving the reduced (M+1) x (M+1) stationarity system for each,
-and stopping at the first feasible one.  For convex objectives (C positive
-definite) any feasible KKT point is the global minimum, so early exit is
-sound.  A projected-gradient fallback covers degenerate C.
-
-A lattice brute-force solver is included as an independent test oracle.
+enumerating the assignments of which member of each pair (u_i, lambda_i)
+vanishes, solving the reduced (M+1) x (M+1) stationarity systems of all of
+them in one stacked solve, and taking the first feasible one.  For convex
+objectives (C positive definite) any feasible KKT point is the global
+minimum, so the first feasible one is the answer.  A projected-gradient
+fallback covers degenerate C.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,29 +20,8 @@ import numpy as np
 _SYM_TOL = 1e-12
 _U_FEAS_TOL = 1e-9
 _LAMBDA_TOL = 1e-10
-
-
-@dataclass(eq=False)
-class QpProblem:
-    """Symmetric coefficient matrix C and linear vector c of the objective."""
-
-    C: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        if self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
-            raise ValueError(f"C must be square, got shape {self.C.shape}")
-        if self.c.shape != (self.C.shape[0],):
-            raise ValueError(f"c must have length {self.C.shape[0]}, got shape {self.c.shape}")
-        asym = np.max(np.abs(self.C - self.C.T)) if self.C.size else 0.0
-        if asym > _SYM_TOL:
-            raise ValueError(f"C must be symmetric within {_SYM_TOL:g}; max asymmetry {asym:.3e}")
-
-    @property
-    def M(self) -> int:
-        return self.c.shape[0]
+_PG_MAX_ITER = 10_000
+_PG_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -69,12 +48,6 @@ class SimplexPoint:
             raise ValueError(f"u must sum to 1 within 1e-10, got {total!r}")
 
 
-def objective(p: QpProblem, u: np.ndarray) -> float:
-    """Objective value u' C u - 2 c' u."""
-    u = np.asarray(u, dtype=float)
-    return float(u @ p.C @ u - 2.0 * p.c @ u)
-
-
 def is_positive_definite(C: np.ndarray) -> bool:
     """True iff the symmetric matrix C factors with pivots above 1e-12."""
     C = np.asarray(C, dtype=float)
@@ -95,48 +68,74 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def _projected_gradient(C: np.ndarray, c: np.ndarray, max_iter: int = 10_000,
-                        tol: float = 1e-10) -> np.ndarray:
+def _projected_gradient(C: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Projected-gradient descent from the uniform point.
 
     Step 1 / (2 ||C||_inf); stops when the gradient-mapping norm drops
-    below ``tol``.
+    below ``_PG_TOL`` or after ``_PG_MAX_ITER`` steps.
     """
     M = c.shape[0]
     norm = float(np.abs(C).sum(axis=1).max())
     step = 1.0 / (2.0 * norm) if norm > 0.0 else 1.0
     u = np.full(M, 1.0 / M)
-    for _ in range(max_iter):
+    for _ in range(_PG_MAX_ITER):
         grad = 2.0 * (C @ u - c)
         nxt = _project_simplex(u - step * grad)
-        if np.linalg.norm(u - nxt) / step < tol:
+        if np.linalg.norm(u - nxt) / step < _PG_TOL:
             u = nxt
             break
         u = nxt
     return u
 
 
-def _mask_order(M: int):
-    """All 2^M active-set bitmasks: all-inactive first, then by popcount."""
-    masks = list(range(1 << M))
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
-    return masks
+@functools.cache
+def _active_set_table(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-M constants of the reduced KKT systems, one row k per active set.
 
-
-def solve_kkt(p: QpProblem) -> SimplexPoint:
-    """Global minimizer of the simplex QP via exhaustive KKT enumeration.
-
-    Bit i of the active-set mask set means u_i = 0 (its multiplier is kept
-    as an unknown); cleared means lambda_i = 0.  For each mask the reduced
-    linear system is solved and the first candidate whose u and lambda
-    entries are (numerically) nonnegative is returned.  If C fails the
-    positive-definiteness test, or no mask yields a feasible solution, the
-    projected-gradient fallback is used and flagged.
+    ``active[k, i]`` holds u_i = 0 (lambda_i is the unknown).  Rows follow
+    the order sets are tried: popcount, then bitmask value.  The all-active
+    set is left out; its sum(u) = 1 row is zero.  ``floor[k, i]`` is the
+    lowest feasible value of unknown i.  ``base[k]`` is system k less C:
+    column i is (-e_i, 0) if active, else (0, 1) with C[:, i] filled in;
+    the last column (lambda_eq) is (1, ..., 1, 0).
     """
-    M = p.M
+    masks = sorted(range((1 << M) - 1), key=lambda m: (m.bit_count(), m))
+    active = (np.array(masks)[:, None] >> np.arange(M)) & 1 == 1
+    floor = np.where(active, -_LAMBDA_TOL, -_U_FEAS_TOL)
+    base = np.zeros((len(masks), M + 1, M + 1))
+    base[:, :M, :M] = np.where(active[:, None, :], -np.eye(M), 0.0)
+    base[:, M, :M] = ~active
+    base[:, :M, M] = 1.0
+    for table in (active, floor, base):
+        table.setflags(write=False)
+    return active, floor, base
+
+
+def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
+    """Global minimizer of u' C u - 2 c' u over the simplex by KKT enumeration.
+
+    ``C`` must be a finite symmetric M x M matrix (M >= 2) and ``c`` a finite
+    length-M vector.  Each active set (see :func:`_active_set_table`) fixes
+    u_i = 0 for its flagged coordinates and lambda_i = 0 for the rest; the
+    first whose solution has (numerically) nonnegative u and lambda is
+    returned.  If C fails the positive-definiteness test, no active set is
+    feasible, or a reduced system is exactly singular, the projected-gradient
+    fallback is used and flagged.
+    """
+    C = np.asarray(C, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError(f"C must be square, got shape {C.shape}")
+    M = C.shape[0]
+    if c.shape != (M,):
+        raise ValueError(f"c must have length {M}, got shape {c.shape}")
     if M < 2:
         raise ValueError(f"need at least 2 states, got M = {M}")
-    C, c = p.C, p.c
+    if not (np.isfinite(C).all() and np.isfinite(c).all()):
+        raise ValueError("C and c must be finite")
+    asym = np.max(np.abs(C - C.T))
+    if asym > _SYM_TOL:
+        raise ValueError(f"C must be symmetric within {_SYM_TOL:g}; max asymmetry {asym:.3e}")
 
     if is_positive_definite(C):
         sol = _enumerate_kkt(C, c)
@@ -149,138 +148,25 @@ def solve_kkt(p: QpProblem) -> SimplexPoint:
 
 def _enumerate_kkt(C: np.ndarray, c: np.ndarray) -> Optional[SimplexPoint]:
     M = c.shape[0]
-    # Full stationarity block: columns are (u_1..u_M, lambda_1..lambda_M, lambda_eq).
-    A = np.zeros((M + 1, 2 * M + 1))
-    A[:M, :M] = C
-    A[:M, M:2 * M] = -np.eye(M)
-    A[:M, 2 * M] = 1.0
-    A[M, :M] = 1.0
-    rhs = np.concatenate([c, [1.0]])
-    scale = max(1.0, float(np.abs(rhs).max()), float(np.abs(C).max()))
+    active, floor, base = _active_set_table(M)
+    A = base.copy()
+    np.copyto(A[:, :M, :M], C, where=~active[:, None, :])
+    rhs = np.append(c, 1.0)[:, None]
+    scale = max(1.0, float(np.abs(c).max()), float(np.abs(C).max()))
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        return None
 
-    for mask in _mask_order(M):
-        cols = [(M + i) if mask >> i & 1 else i for i in range(M)]
-        cols.append(2 * M)
-        Ar = A[:, cols]
-        try:
-            rho = np.linalg.solve(Ar, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(rho)):
-            continue
-        if np.max(np.abs(Ar @ rho - rhs)) > 1e-8 * scale:
-            continue  # nearly singular system solved to garbage
-        u = np.zeros(M)
-        lam = np.zeros(M + 1)
-        feasible = True
-        for i in range(M):
-            if mask >> i & 1:
-                lam[i] = rho[i]
-                if lam[i] < -_LAMBDA_TOL:
-                    feasible = False
-                    break
-            else:
-                u[i] = rho[i]
-                if u[i] < -_U_FEAS_TOL:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        lam[M] = rho[M]
-        u = np.maximum(u, 0.0)
-        return SimplexPoint(u=u / u.sum(), lam=lam, fallback=False)
-    return None
-
-
-# --- lattice brute force (test oracle) -------------------------------------
-
-_COMP_TABLE_CACHE: dict = {}
-
-
-def _composition_table(k: int, parts: int) -> list:
-    """table[s] = all ``parts``-tuples of nonnegative ints summing to s, lex order.
-
-    Cached per ``parts`` (tables for a larger k serve any smaller k); only
-    parts <= 3 are retained, larger ones would hold tens of millions of rows.
-    """
-    cached = _COMP_TABLE_CACHE.get(parts)
-    if cached is not None and len(cached) >= k + 1:
-        return cached
-    if parts == 1:
-        table = [np.array([[s]], dtype=np.int64) for s in range(k + 1)]
-    else:
-        prev = _composition_table(k, parts - 1)
-        table = []
-        for s in range(k + 1):
-            blocks = [
-                np.hstack([np.full((prev[s - i].shape[0], 1), i, dtype=np.int64), prev[s - i]])
-                for i in range(s + 1)
-            ]
-            table.append(np.vstack(blocks))
-    if parts <= 3:
-        _COMP_TABLE_CACHE[parts] = table
-    return table
-
-
-def _prefixes(budget: int, length: int):
-    """Lex-ordered nonnegative integer vectors of given length with sum <= budget."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _prefixes(budget - first, length - 1):
-            yield (first,) + rest
-
-
-def brute_force_solve(p: QpProblem, step: float) -> SimplexPoint:
-    """Exhaustive minimization over the simplex lattice with spacing ``step``.
-
-    Ties are broken toward the lexicographically smallest point.  Intended
-    as a test oracle; cost grows like (1/step)^(M-1).
-
-    Works on the integer grid g (u = g / k, k = 1/step), scoring
-    k^2 F(u) = g' C g - 2 k c' g.  For M >= 4 the last three coordinates are
-    scored in bulk straight off the cached composition tables, with the
-    leading M-3 coordinates enumerated on top; this avoids materializing the
-    full lattice.
-    """
-    if not 0.0 < step <= 0.5:
-        raise ValueError(f"step must lie in (0, 0.5], got {step}")
-    k = round(1.0 / step)
-    M, C, c = p.M, p.C, p.c
-
-    if M <= 3:
-        G = _composition_table(k, M)[k] if M > 1 else np.array([[k]], dtype=np.int64)
-        Gf = G.astype(float)
-        vals = np.einsum("ij,jk,ik->i", Gf, C, Gf) - 2.0 * k * (Gf @ c)
-        j = int(np.argmin(vals))
-        return SimplexPoint(u=G[j] / k)
-
-    # tail = last 3 coordinates; per tail-sum s, precompute the tail-only
-    # score and the cross terms against each prefix coordinate
-    table = _composition_table(k, 3)
-    C_tt = C[M - 3:, M - 3:]
-    c_t = c[M - 3:]
-    tail_score = []
-    cross = []  # cross[s][q] = W_s @ C[q, tail]
-    for s in range(k + 1):
-        W = table[s].astype(float)
-        tail_score.append(np.einsum("ij,jk,ik->i", W, C_tt, W) - 2.0 * k * (W @ c_t))
-        cross.append([W @ C[q, M - 3:] for q in range(M - 3)])
-
-    C_pp = C[:M - 3, :M - 3]
-    c_p = c[:M - 3]
-    best_val = np.inf
-    best_g = None
-    for prefix in _prefixes(k, M - 3):
-        a = np.array(prefix, dtype=float)
-        s = k - int(a.sum())
-        vals = tail_score[s] + float(a @ C_pp @ a - 2.0 * k * (c_p @ a))
-        for q in range(M - 3):
-            if prefix[q]:
-                vals = vals + 2.0 * prefix[q] * cross[s][q]
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_g = np.concatenate([np.array(prefix, dtype=np.int64), table[s][j]])
-    return SimplexPoint(u=best_g / k)
+    rho = x[:, :, 0]
+    # a large residual marks a nearly singular system solved to garbage
+    resid = np.abs(A @ x - rhs).max(axis=(1, 2))
+    ok = (np.isfinite(rho).all(axis=1) & (resid <= 1e-8 * scale)
+          & (rho[:, :M] >= floor).all(axis=1))
+    k = int(ok.argmax())
+    if not ok[k]:
+        return None
+    u = np.maximum(np.where(active[k], 0.0, rho[k, :M]), 0.0)
+    lam = rho[k].copy()
+    lam[:M][~active[k]] = 0.0
+    return SimplexPoint(u=u / u.sum(), lam=lam, fallback=False)

@@ -18,9 +18,10 @@ from hmmar.gaussian import product_integral
 from hmmar.kde import Bandwidth, EmbeddedSample, embed, kde_eval, oversmoothed_bandwidth, \
     ucv_bandwidth, ucv_objective
 from hmmar.model import simulate, stationary_distribution
-from hmmar.simplex_qp import QpProblem, brute_force_solve, objective, solve_kkt
+from hmmar.simplex_qp import solve_kkt
 from hmmar.harness import example_config, override, run_experiment
 
+from lattice_oracle import brute_force_solve, objective
 from test_kde import generic_ucv
 
 
@@ -75,12 +76,12 @@ def test_criterion_3_qp_oracle_equivalence():
     worst_resid = 0.0
     for M in sizes:
         A = rng.normal(size=(M, M))
-        p = QpProblem(C=A @ A.T + 0.05 * np.eye(M), c=rng.uniform(0.05, 2.0, size=M))
-        sol = solve_kkt(p)
+        C, c = A @ A.T + 0.05 * np.eye(M), rng.uniform(0.05, 2.0, size=M)
+        sol = solve_kkt(C, c)
         assert not sol.fallback
-        grid = brute_force_solve(p, step=0.005)
-        worst_gap = max(worst_gap, objective(p, sol.u) - objective(p, grid.u))
-        stat = p.C @ sol.u - sol.lam[:-1] + sol.lam[-1] - p.c
+        grid = brute_force_solve(C, c, step=0.005)
+        worst_gap = max(worst_gap, objective(C, c, sol.u) - objective(C, c, grid.u))
+        stat = C @ sol.u - sol.lam[:-1] + sol.lam[-1] - c
         comp = sol.lam[:-1] * sol.u
         resid = max(float(np.max(np.abs(stat))), float(np.max(np.abs(comp))),
                     float(np.max(-np.minimum(sol.lam[:-1], 0.0))))

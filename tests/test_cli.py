@@ -67,12 +67,21 @@ def test_non_finite_model_parameter_exits_2(config_path, capsys):
     assert "config error: model: b must be" in capsys.readouterr().err
 
 
+def test_underflowing_noise_scale_exits_2(config_path, capsys):
+    # b = 1e-200 is positive, but b^2 underflows to a zero emission variance
+    edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e-200))
+    assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
+    assert "config error: model: b must have a nonzero square" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,edit", [
     ("states[0].mu", lambda model: model["states"][0].update(mu=None)),
     ("states[0].mu", lambda model: model["states"][0].update(mu={})),
     ("states[0].b", lambda model: model["states"][0].update(b=[0.2])),
     ("states[0].a", lambda model: model["states"][0].update(a={})),
     ("states", lambda model: model.update(states=3)),
+    ("transition", lambda model: model.update(transition={})),
+    ("initial_dist", lambda model: model.update(initial_dist={})),
 ])
 def test_non_numeric_model_document_exits_2(config_path, field, edit, capsys):
     edit_config(config_path, lambda doc: edit(doc["model"]))

@@ -304,6 +304,19 @@ class TestConditionalWeights:
             raw[i - 1] = math.exp(-sq / (2 * h * h))
         np.testing.assert_allclose(beta, raw / raw.sum(), atol=1e-12)
 
+    def test_window_view_is_bit_identical_to_fancy_index(self):
+        # the windows were once gathered by a fancy index; beta must not move a bit
+        x = np.random.default_rng(17).normal(size=200)
+        for n, tau, l in [(5, 1, 1), (6, 2, 3), (40, 2, 1), (41, 3, 2), (120, 1, 4),
+                          (200, 2, 1), (200, 5, 3), (199, 4, 7)]:
+            xs = x[:n - 1]
+            N = 1 + (xs.shape[0] - (tau + 1)) // l
+            windows = xs[l * np.arange(N)[:, None] + np.arange(tau)[None, :]]
+            log_w = -np.sum((windows - xs[n - 1 - tau:n - 1]) ** 2, axis=1) / (2.0 * 0.3 * 0.3)
+            log_w -= log_w.max()
+            w = np.exp(log_w)
+            assert np.array_equal(conditional_weights(x, n, tau, l, 0.3), w / w.sum())
+
     def test_huge_distances_stay_finite(self):
         x = np.concatenate([np.zeros(20), [1e4], np.zeros(9)])
         beta = conditional_weights(x, n=30, tau=2, l=1, h=0.1)

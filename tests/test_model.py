@@ -46,6 +46,11 @@ class TestArStateParams:
         with pytest.raises(ValueError):
             ArStateParams(0.0, [0.1], 0.0)
 
+    def test_rejects_noise_scale_with_underflowing_square(self):
+        with pytest.raises(ValueError, match="^b must have a nonzero square"):
+            ArStateParams(0.0, [0.1], 1e-200)
+        assert ArStateParams(0.0, [0.1], 1e-160).b == 1e-160
+
     @pytest.mark.parametrize("field,mu,a,b", [
         ("mu", np.nan, [0.1], 1.0),
         ("mu", np.inf, [0.1], 1.0),

@@ -1,38 +1,57 @@
 import numpy as np
 import pytest
 
-from hmmar.simplex_qp import (QpProblem, SimplexPoint, _project_simplex,
-                              _projected_gradient, brute_force_solve,
-                              is_positive_definite, objective, solve_kkt)
+from hmmar.simplex_qp import (SimplexPoint, _active_set_table, _project_simplex,
+                              _projected_gradient, is_positive_definite,
+                              solve_kkt)
+from lattice_oracle import (brute_force_solve, objective, reference_enumerate_kkt,
+                            reference_mask_order)
 
 
 def random_pd_problem(rng, M):
     A = rng.normal(size=(M, M))
     C = A @ A.T + 0.1 * np.eye(M)
     c = rng.uniform(0.1, 2.0, size=M)
-    return QpProblem(C=C, c=c)
+    return C, c
 
 
-def kkt_residuals(p, sol):
+def kkt_residuals(C, c, sol):
     """Stationarity / complementary-slackness / dual-feasibility residuals.
 
     Uses the normalization in which the stationarity rows read
     C u - lambda + lambda_eq = c.
     """
-    stat = p.C @ sol.u - sol.lam[:-1] + sol.lam[-1] - p.c
+    stat = C @ sol.u - sol.lam[:-1] + sol.lam[-1] - c
     comp = sol.lam[:-1] * sol.u
     dual = np.minimum(sol.lam[:-1], 0.0)
     return (np.max(np.abs(stat)), np.max(np.abs(comp)), np.max(np.abs(dual)))
 
 
-class TestQpProblem:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            QpProblem(C=np.array([[1.0, 0.2], [0.1, 1.0]]), c=np.array([1.0, 1.0]))
+class TestSolveKktRejects:
+    def test_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_kkt(np.array([[1.0, 0.2], [0.1, 1.0]]), np.array([1.0, 1.0]))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            QpProblem(C=np.eye(2), c=np.array([1.0, 2.0, 3.0]))
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="length 2"):
+            solve_kkt(np.eye(2), np.array([1.0, 2.0, 3.0]))
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_kkt(np.ones((2, 3)), np.ones(2))
+
+    @pytest.mark.parametrize("where", ["C diagonal", "C off-diagonal", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, where, value):
+        C, c = np.eye(3) + 0.1, np.array([0.5, 0.3, 0.2])
+        if where == "C diagonal":
+            C[1, 1] = value
+        elif where == "C off-diagonal":
+            C[0, 2] = C[2, 0] = value
+        else:
+            c[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            solve_kkt(C, c)
 
 
 class TestSimplexPoint:
@@ -52,95 +71,123 @@ class TestSimplexPoint:
 
 class TestSolveKkt:
     def test_symmetric_instance(self):
-        sol = solve_kkt(QpProblem(C=np.eye(2), c=np.array([0.3, 0.3])))
+        sol = solve_kkt(np.eye(2), np.array([0.3, 0.3]))
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-12)
         assert not sol.fallback
 
     def test_vertex_solution(self):
-        p = QpProblem(C=np.eye(2), c=np.array([1.0, 0.0]))
-        sol = solve_kkt(p)
+        C, c = np.eye(2), np.array([1.0, 0.0])
+        sol = solve_kkt(C, c)
         np.testing.assert_allclose(sol.u, [1.0, 0.0], atol=1e-12)
-        grid = brute_force_solve(p, step=0.001)
+        grid = brute_force_solve(C, c, step=0.001)
         np.testing.assert_allclose(grid.u, [1.0, 0.0], atol=1e-12)
 
     def test_interior_solution(self):
         # stationarity with the equality constraint: 2u1 - 1.2 + lam = 0,
         # 2u2 - 0.8 + lam = 0, u1 + u2 = 1  =>  u = (0.6, 0.4)
-        p = QpProblem(C=np.eye(2), c=np.array([0.6, 0.4]))
-        sol = solve_kkt(p)
+        C, c = np.eye(2), np.array([0.6, 0.4])
+        sol = solve_kkt(C, c)
         np.testing.assert_allclose(sol.u, [0.6, 0.4], atol=1e-12)
-        grid = brute_force_solve(p, step=0.001)
-        assert objective(p, sol.u) <= objective(p, grid.u) + 1e-12
+        grid = brute_force_solve(C, c, step=0.001)
+        assert objective(C, c, sol.u) <= objective(C, c, grid.u) + 1e-12
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            p = random_pd_problem(rng, 3)
-            sol = solve_kkt(p)
-            grid = brute_force_solve(p, step=0.005)
-            assert objective(p, sol.u) <= objective(p, grid.u) + 1e-6
+            C, c = random_pd_problem(rng, 3)
+            sol = solve_kkt(C, c)
+            grid = brute_force_solve(C, c, step=0.005)
+            assert objective(C, c, sol.u) <= objective(C, c, grid.u) + 1e-6
 
     def test_never_beaten_by_random_simplex_points(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
             M = int(rng.integers(2, 5))
-            p = random_pd_problem(rng, M)
-            sol = solve_kkt(p)
-            best = objective(p, sol.u)
+            C, c = random_pd_problem(rng, M)
+            sol = solve_kkt(C, c)
+            best = objective(C, c, sol.u)
             samples = rng.dirichlet(np.ones(M), size=1000)
-            vals = np.einsum("ij,jk,ik->i", samples, p.C, samples) - 2.0 * samples @ p.c
+            vals = np.einsum("ij,jk,ik->i", samples, C, samples) - 2.0 * samples @ c
             assert best <= vals.min() + 1e-8
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             M = int(rng.integers(2, 6))
-            p = random_pd_problem(rng, M)
-            sol = solve_kkt(p)
+            C, c = random_pd_problem(rng, M)
+            sol = solve_kkt(C, c)
             assert not sol.fallback
-            stat, comp, dual = kkt_residuals(p, sol)
+            stat, comp, dual = kkt_residuals(C, c, sol)
             assert stat < 1e-8
             assert comp < 1e-10
             assert dual < 1e-10
 
     def test_deterministic(self):
-        p = random_pd_problem(np.random.default_rng(37), 4)
-        u1 = solve_kkt(p).u
-        u2 = solve_kkt(p).u
+        C, c = random_pd_problem(np.random.default_rng(37), 4)
+        u1 = solve_kkt(C, c).u
+        u2 = solve_kkt(C, c).u
         assert np.array_equal(u1, u2)
 
     def test_on_simplex_always(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             M = int(rng.integers(2, 6))
-            p = random_pd_problem(rng, M)
-            u = solve_kkt(p).u
+            u = solve_kkt(*random_pd_problem(rng, M)).u
             assert np.all(u >= 0.0)
             assert abs(u.sum() - 1.0) < 1e-10
 
     def test_singular_c_falls_back_symmetrically(self):
         # rank-1 C: objective is constant in directions (1,-1); the
         # projected-gradient fallback keeps the symmetric point
-        p = QpProblem(C=np.ones((2, 2)), c=np.array([1.0, 1.0]))
-        sol = solve_kkt(p)
+        sol = solve_kkt(np.ones((2, 2)), np.array([1.0, 1.0]))
         assert sol.fallback
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-9)
 
     def test_rejects_single_state(self):
         with pytest.raises(ValueError):
-            solve_kkt(QpProblem(C=np.eye(1), c=np.array([1.0])))
+            solve_kkt(np.eye(1), np.array([1.0]))
+
+
+class TestStackedEnumeration:
+    def test_mask_table_follows_reference_order(self):
+        for M in range(2, 7):
+            masks = _active_set_table(M)[0].astype(int) @ (1 << np.arange(M))
+            assert masks.tolist() == reference_mask_order(M)[:-1]  # all-active dropped
+
+    def test_bit_identical_to_per_mask_reference(self):
+        # a third each: interior optimum u0, vertex optimum e_j, random c
+        rng = np.random.default_rng(61)
+        kinds = {"interior": 0, "vertex": 0, "face": 0}
+        for trial in range(300):
+            M = int(rng.integers(2, 7))
+            A = rng.normal(size=(M, M))
+            C = A @ A.T + 0.05 * np.eye(M)
+            lam_eq = rng.normal()
+            if trial % 3 == 0:
+                c = C @ rng.dirichlet(np.ones(M)) + lam_eq
+            elif trial % 3 == 1:
+                j = int(rng.integers(M))
+                lam = rng.uniform(0.01, 1.0, size=M)
+                lam[j] = 0.0
+                c = C[:, j] - lam + lam_eq
+            else:
+                c = rng.uniform(-1.0, 2.0, size=M)
+            sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
+            assert ref is not None and not sol.fallback
+            assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.lam, ref.lam)
+            free = int(np.count_nonzero(sol.u))
+            kinds["interior" if free == M else "vertex" if free == 1 else "face"] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestBruteForce:
     def test_symmetric_lattice_point(self):
-        p = QpProblem(C=np.eye(3), c=np.full(3, 1.0 / 3.0))
-        sol = brute_force_solve(p, step=1.0 / 3.0)
+        sol = brute_force_solve(np.eye(3), np.full(3, 1.0 / 3.0), step=1.0 / 3.0)
         np.testing.assert_allclose(sol.u, [1/3, 1/3, 1/3], atol=1e-12)
 
     def test_lexicographic_tie_break(self):
         # constant objective: every lattice point ties, first in lex order wins
-        p = QpProblem(C=np.zeros((3, 3)), c=np.zeros(3))
-        sol = brute_force_solve(p, step=0.5)
+        sol = brute_force_solve(np.zeros((3, 3)), np.zeros(3), step=0.5)
         np.testing.assert_allclose(sol.u, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_gap_to_kkt_bounded_by_lipschitz_step(self):
@@ -148,19 +195,18 @@ class TestBruteForce:
         step = 0.02
         for _ in range(100):
             M = int(rng.integers(2, 4))
-            p = random_pd_problem(rng, M)
-            kkt = solve_kkt(p)
-            grid = brute_force_solve(p, step=step)
-            lip = 2.0 * (np.abs(p.C).sum(axis=1).max() + np.abs(p.c).max())
-            gap = objective(p, grid.u) - objective(p, kkt.u)
+            C, c = random_pd_problem(rng, M)
+            kkt = solve_kkt(C, c)
+            grid = brute_force_solve(C, c, step=step)
+            lip = 2.0 * (np.abs(C).sum(axis=1).max() + np.abs(c).max())
+            gap = objective(C, c, grid.u) - objective(C, c, kkt.u)
             assert -1e-9 <= gap <= 2.0 * lip * step
 
     def test_rejects_bad_step(self):
-        p = QpProblem(C=np.eye(2), c=np.zeros(2))
         with pytest.raises(ValueError):
-            brute_force_solve(p, step=0.0)
+            brute_force_solve(np.eye(2), np.zeros(2), step=0.0)
         with pytest.raises(ValueError):
-            brute_force_solve(p, step=0.7)
+            brute_force_solve(np.eye(2), np.zeros(2), step=0.7)
 
 
 class TestIsPositiveDefinite:
@@ -178,23 +224,23 @@ class TestIsPositiveDefinite:
         rng = np.random.default_rng(47)
         x = rng.normal(size=60)
         model = SwitchingArModel(chain, states)
-        p = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
-        assert not is_positive_definite(p.C)
+        C, _ = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
+        assert not is_positive_definite(C)
         # distinct states give a PD matrix
         states[1] = ArStateParams(1.5, [0.1], 0.4)
         model = SwitchingArModel(chain, states)
-        p2 = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
-        assert is_positive_definite(p2.C)
+        C2, _ = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
+        assert is_positive_definite(C2)
 
 
 class TestProjectedGradient:
     def test_matches_kkt_on_pd_instance(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            p = random_pd_problem(rng, 3)
-            u_pg = _projected_gradient(p.C, p.c)
-            u_kkt = solve_kkt(p).u
-            assert objective(p, u_pg) <= objective(p, u_kkt) + 1e-6
+            C, c = random_pd_problem(rng, 3)
+            u_pg = _projected_gradient(C, c)
+            u_kkt = solve_kkt(C, c).u
+            assert objective(C, c, u_pg) <= objective(C, c, u_kkt) + 1e-6
 
     def test_projection_properties(self):
         rng = np.random.default_rng(59)
