@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import product_integral
 from .kde import Bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
@@ -36,14 +37,41 @@ def warmup_threshold(p: int, tau: int) -> int:
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
-def log_emissions(x_n: float, history: np.ndarray, model: SwitchingArModel) -> np.ndarray:
-    """log f_m(x_n) for every state m, given the last p observations."""
+def log_emissions(x_n: float | np.ndarray, history: np.ndarray,
+                  model: SwitchingArModel) -> np.ndarray:
+    """log f_m(x_n) for every state m, given the last p observations.
+
+    With a (k,) array of observations and a (k, p) stack of their histories
+    the result is the (k, M) matrix of every row at once.
+    """
     history = np.asarray(history, dtype=float)
     p = model.ar_order
-    if history.shape != (p,):
+    if history.ndim not in (1, 2) or history.shape[-1] != p:
         raise ValueError(f"history must hold {p} values (most recent first)")
     b2 = model.b2
+    x_n = np.asarray(x_n, dtype=float)[..., None]
     return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - model.ar_means(history)) ** 2 / (2.0 * b2)
+
+
+def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Predictive vector posterior @ trans, clipped at 0 and renormalized, into ``out``."""
+    np.matmul(posterior, trans, out=out)
+    np.maximum(out, 0.0, out=out)
+    out /= np.add.reduce(out)
+    return out
+
+
+def _bayes_update(log_f: np.ndarray, predictive: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The update of :func:`posterior_update` from the log emission row, into ``out``.
+
+    A zero u_m takes log 0 = -inf; callers silence that divide warning.
+    """
+    np.log(predictive, out=out)
+    out += log_f
+    out -= np.maximum.reduce(out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out)
+    return out
 
 
 def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
@@ -57,10 +85,7 @@ def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
     predictive = np.asarray(predictive, dtype=float)
     log_f = log_emissions(x_n, history, model)
     with np.errstate(divide="ignore"):
-        log_post = log_f + np.log(predictive)
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    return post / post.sum()
+        return _bayes_update(log_f, predictive, np.empty_like(log_f))
 
 
 def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
@@ -70,9 +95,7 @@ def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
     Takes the previous step's posterior; returns ``(predictive, posterior)``
     of this step.
     """
-    predictive = posterior @ model.transition.p
-    predictive = np.maximum(predictive, 0.0)
-    predictive /= predictive.sum()
+    predictive = _predict(posterior, model.transition.p, np.empty(model.M))
     return predictive, posterior_update(predictive, x_n, history, model)
 
 
@@ -197,13 +220,19 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     fallback = np.zeros(T, dtype=bool)
 
     if compute_optimal:
-        opt_pred, opt_post = np.empty((T, M)), np.empty((T, M))
-        posterior = stationary_distribution(model.transition)
-        for n in range(p + 1, n_len + 1):
-            predictive, posterior = optimal_step(posterior, x[n - 1], x[n - 1 - p:n - 1][::-1],
-                                                 model)
-            if n >= eval_start:
-                opt_pred[n - eval_start], opt_post[n - eval_start] = predictive, posterior
+        # Steps n = p + 1 .. n_len: row i has x_n = x[p + i] and its history
+        # x[p + i - 1], ..., x[i], so every emission term comes from one call.
+        steps = max(n_len - p, 0)
+        opt_pred, opt_post = np.empty((steps, M)), np.empty((steps, M))
+        if steps:
+            lags = sliding_window_view(x[:-1], p)[:, ::-1]
+            log_f = log_emissions(x[p:], lags, model)
+            trans = model.transition.p
+            posterior = stationary_distribution(model.transition)
+            with np.errstate(divide="ignore"):
+                for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
+                    posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
+        opt_pred, opt_post = opt_pred[eval_start - p - 1:], opt_post[eval_start - p - 1:]
 
     if compute_nonparametric:
         npar_pred, npar_post = np.empty((T, M)), np.empty((T, M))

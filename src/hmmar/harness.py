@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -302,18 +303,25 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
     if n_states is not None:
         header += [f"post_opt_{m}" for m in range(1, n_states + 1)]
         header += [f"post_np_{m}" for m in range(1, n_states + 1)]
-    lines = [",".join(header)]
-    for k in range(run.qp_fallback.shape[0]):
-        idx = run.eval_start + k - 1
-        row = [str(idx + 1), str(int(trajectory.s[idx])), _fmt(trajectory.x[idx])]
-        row += ["" if d is None else str(d[k]) for d in decisions]
-        if n_states is not None:
-            for post in posteriors:
-                row += [""] * n_states if post is None else [_fmt(v) for v in post[k]]
-        lines.append(",".join(row))
+    # Built by columns, one map() each.  float.__repr__ of a float64 is _fmt's
+    # shortest round-trip form; mapping it over the array builds no float list.
+    T = run.qp_fallback.shape[0]
+    lo = run.eval_start - 1
+    if len(trajectory) < lo + T:
+        raise ValueError(f"trajectory has {len(trajectory)} steps, the run ends at n = {lo + T}")
+    columns = [map(str, range(run.eval_start, run.eval_start + T)),
+               map(str, trajectory.s[lo:lo + T].tolist()),
+               map(float.__repr__, trajectory.x[lo:lo + T])]
+    columns += [repeat("", T) if d is None else map(str, d.tolist()) for d in decisions]
+    if n_states is not None:
+        for post in posteriors:
+            # one repeat() per empty column: zip() would drain a shared iterator n_states times
+            columns += ([repeat("", T) for _ in range(n_states)] if post is None
+                        else [map(float.__repr__, col) for col in post.T])
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]  # "" ends the last line
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(lines))
     except OSError as exc:
         raise OSError(f"cannot write trace file {path}: {exc}") from exc
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import pdist
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -190,9 +189,14 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int, h: float) -> np
     xs = x[:n - 1]
     N = 1 + (xs.shape[0] - d) // l
 
-    windows = sliding_window_view(xs, tau)[::l][:N]  # row i: x_{il+1}, ..., x_{il+tau}
+    # Squared distance of window i (x_{il+1}, ..., x_{il+tau}) to the query,
+    # summed one coordinate at a time over strided slices of xs.
+    span = (N - 1) * l + 1
     query = xs[n - 1 - tau:n - 1]
-    log_w = -np.sum((windows - query) ** 2, axis=1) / (2.0 * h * h)
+    sq_dist = np.square(xs[:span:l] - query[0])
+    for j in range(1, tau):
+        sq_dist += np.square(xs[j:j + span:l] - query[j])
+    log_w = -sq_dist / (2.0 * h * h)
     log_w -= log_w.max()
     w = np.exp(log_w)
     return w / w.sum()

@@ -11,6 +11,7 @@ States are 1-based in all public interfaces.
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,9 +68,9 @@ class ArStateParams:
             raise ValueError(f"a must be finite, got {self.a}")
         if not 0.0 < self.b < np.inf:
             raise ValueError(f"b must be positive and finite, got {self.b}")
-        if not self.b * self.b > 0.0:
-            raise ValueError(f"b must have a nonzero square (b^2 is the emission variance), "
-                             f"got {self.b}")
+        if not 0.0 < self.b * self.b < np.inf:
+            raise ValueError(f"b must have a nonzero square that is finite (b^2 is the "
+                             f"emission variance), got {self.b}")
 
     @property
     def p(self) -> int:
@@ -123,9 +124,13 @@ class SwitchingArModel:
     def ar_means(self, history: np.ndarray) -> np.ndarray:
         """AR conditional mean mu + sum_i a_i (x[n-i] - mu) of every state.
 
-        ``history`` is ordered most recent first: (x[n-1], ..., x[n-p]).
+        ``history`` is ordered most recent first: (x[n-1], ..., x[n-p]).  A
+        (k, p) stack of histories gives a (k, M) array, row by row bit-equal
+        to the (M,) result of each history alone.
         """
-        return self.mu + self.a @ history - self._a_mu
+        # matmul over (p, 1) columns rounds like a @ history for one history;
+        # einsum or lags @ a.T would not.
+        return self.mu + np.matmul(self.a, history[..., None])[..., 0] - self._a_mu
 
 
 @dataclass(eq=False)
@@ -204,11 +209,15 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     cum_rows[:, -1] = np.maximum(cum_rows[:, -1], 1.0)  # absorb rounding in the last bin
     cum_init = np.cumsum(init)
     cum_init[-1] = max(cum_init[-1], 1.0)
+    # State j is drawn when cum[j - 1] <= u < cum[j] (bisect_right on plain floats).
+    rows = cum_rows.tolist()
     u = rng_chain.random(total)
-    s = np.empty(total, dtype=int)
-    s[0] = np.searchsorted(cum_init, u[0], side="right")
-    for k in range(1, total):
-        s[k] = np.searchsorted(cum_rows[s[k - 1]], u[k], side="right")
+    state = bisect_right(cum_init.tolist(), u[0])
+    chain = [state]
+    for u_k in u[1:]:
+        state = bisect_right(rows[state], u_k)
+        chain.append(state)
+    s = np.array(chain)
 
     # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from
     # it, and every simulated trajectory's bytes depend on this expression.

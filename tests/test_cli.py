@@ -74,6 +74,14 @@ def test_underflowing_noise_scale_exits_2(config_path, capsys):
     assert "config error: model: b must have a nonzero square" in capsys.readouterr().err
 
 
+def test_overflowing_noise_scale_exits_2(config_path, capsys):
+    # b = 1e160 squares to inf; the run used to exit 3 on the NaN series it simulated
+    edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e160))
+    assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
+    assert "config error: model: b must have a nonzero square that is finite" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,edit", [
     ("states[0].mu", lambda model: model["states"][0].update(mu=None)),
     ("states[0].mu", lambda model: model["states"][0].update(mu={})),

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hmmar.filters import (FilterRun, log_emissions, nonparametric_step, optimal
 from hmmar.harness import emit_trace
 from hmmar.kde import Bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
-                         TransitionMatrix, simulate)
+                         TransitionMatrix, simulate, stationary_distribution)
 
 EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 
@@ -61,6 +62,88 @@ def test_ar_means_match_inline_mean_exactly():
         np.testing.assert_array_equal(model.ar_means(hist), mu + a @ hist - a.sum(axis=1) * mu)
         np.testing.assert_allclose(model.ar_means(hist),
                                    [ar_mean(hist, st) for st in model.states], atol=1e-14)
+
+
+def random_model(M, p, rng, zeros=False):
+    """Stable M-state AR(p) model.
+
+    With ``zeros``, a cyclic chain (rows hold zeros for M > 2) over states 25
+    apart, so posteriors underflow to exact zeros.
+    """
+    if zeros:
+        trans = 0.9 * np.eye(M) + 0.1 * np.roll(np.eye(M), 1, axis=1)
+        mu = 25.0 * np.arange(M)
+    else:
+        trans = rng.dirichlet(np.full(M, 2.0), size=M) + 2.0 * np.eye(M)
+        trans /= trans.sum(axis=1, keepdims=True)
+        mu = rng.normal(scale=3.0, size=M)
+    states = [ArStateParams(mu[m], rng.uniform(-0.8, 0.8, size=p) / p, rng.uniform(0.05, 0.5))
+              for m in range(M)]
+    return SwitchingArModel(TransitionMatrix(trans), states)
+
+
+@pytest.mark.parametrize("M,p", [(2, 1), (3, 2), (4, 2), (2, 5), (5, 3), (3, 8)])
+def test_batched_ar_means_equal_per_history_calls(M, p):
+    model = random_model(M, p, np.random.default_rng(100 * M + p))
+    lags = np.random.default_rng(p).normal(scale=2.0, size=(500, p))
+    means = model.ar_means(lags)
+    assert means.shape == (500, M)
+    assert np.array_equal(means, np.array([model.ar_means(h) for h in lags]))
+    reversed_view = lags[::-1, ::-1]  # strided, as run_filters' lag matrix is
+    assert np.array_equal(model.ar_means(reversed_view),
+                          np.array([model.ar_means(h) for h in reversed_view]))
+
+
+def reference_optimal_filter(x, model, eval_start):
+    """Per-step optimal recursion with the arithmetic written out, one step at a time."""
+    mu = np.array([st.mu for st in model.states])
+    a = np.stack([st.a for st in model.states])
+    b2 = np.array([st.b for st in model.states]) ** 2
+    p = model.ar_order
+    posterior = stationary_distribution(model.transition)
+    pred, post = [], []
+    for n in range(p + 1, len(x) + 1):
+        predictive = posterior @ model.transition.p
+        predictive = np.maximum(predictive, 0.0)
+        predictive /= predictive.sum()
+        hist = x[n - 1 - p:n - 1][::-1]
+        log_f = -0.5 * np.log(2.0 * np.pi * b2) \
+            - (x[n - 1] - (mu + a @ hist - a.sum(axis=1) * mu)) ** 2 / (2.0 * b2)
+        with np.errstate(divide="ignore"):
+            log_post = log_f + np.log(predictive)
+        log_post -= log_post.max()
+        posterior = np.exp(log_post)
+        posterior = posterior / posterior.sum()
+        if n >= eval_start:
+            pred.append(predictive)
+            post.append(posterior)
+    return np.array(pred).reshape(-1, model.M), np.array(post).reshape(-1, model.M)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
+    # the loop over the per-trajectory log-emission matrix keeps every bit
+    # of the per-step recursion, optimal_step's included; the cyclic chains
+    # drive posteriors to exact zeros and so the predictive through log(0)
+    rng = np.random.default_rng(10 * M + p + 1000 * zeros)
+    model = random_model(M, p, rng, zeros)
+    traj = simulate(model, 300, burn_in=20, rng_seed=M + p)
+    x = traj.x
+    for eval_start in (p + 1, 50, 300, 301):
+        run = run_filters(traj, model, eval_start=eval_start, compute_nonparametric=False)
+        pred, post = reference_optimal_filter(x, model, eval_start)
+        assert run.optimal_predictive.shape == (301 - eval_start, M)
+        assert np.array_equal(run.optimal_predictive, pred)
+        assert np.array_equal(run.optimal_posterior, post)
+    pred_all, post_all = reference_optimal_filter(x, model, p + 1)
+    posterior = stationary_distribution(model.transition)
+    for k, n in enumerate(range(p + 1, len(x) + 1)):
+        predictive, posterior = optimal_step(posterior, x[n - 1], x[n - 1 - p:n - 1][::-1], model)
+        assert np.array_equal(predictive, pred_all[k]) and np.array_equal(posterior, post_all[k])
+    if zeros:
+        assert (post_all == 0.0).any()
 
 
 def test_identical_states_make_posterior_equal_predictive():
@@ -240,19 +323,35 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     import hmmar.filters as filters
     model = example_model()
     traj = simulate(model, 120, burn_in=50, rng_seed=43)
-    for method, last in (("optimal", traj.x[-1]), ("nonparametric", len(traj))):
-        step = getattr(filters, f"{method}_step")
+    run = partial(run_filters, traj, model, tau=2, l=1, eval_start=100, bandwidth=Bandwidth(0.15))
 
-        def poisoned(*args, step=step, last=last):
-            out = list(step(*args))
-            if args[1] == last:  # x_n (optimal) or n (nonparametric) of the last step
-                out[field == "posterior"] = np.array(bad + [0.0])
-            return tuple(out)
+    # the optimal recursion writes every step through _bayes_update; the last
+    # step is the one with the emission row of x_120
+    last_log_f = log_emissions(traj.x[-1], traj.x[-3:-1][::-1], model)
+    update = filters._bayes_update
 
-        monkeypatch.setattr(filters, f"{method}_step", poisoned)
-        with pytest.raises(ValueError, match=f"{method}_{field} at step n = 120"):
-            run_filters(traj, model, tau=2, l=1, eval_start=100, bandwidth=Bandwidth(0.15))
-        monkeypatch.undo()
+    def poisoned_update(log_f, predictive, out):
+        update(log_f, predictive, out)
+        if np.array_equal(log_f, last_log_f):
+            (predictive, out)[field == "posterior"][:] = bad + [0.0]
+        return out
+
+    monkeypatch.setattr(filters, "_bayes_update", poisoned_update)
+    with pytest.raises(ValueError, match=f"optimal_{field} at step n = 120"):
+        run(compute_nonparametric=False)
+    monkeypatch.undo()
+
+    step = filters.nonparametric_step
+
+    def poisoned_step(*args):
+        out = list(step(*args))
+        if args[1] == len(traj):  # n of the last step
+            out[field == "posterior"] = np.array(bad + [0.0])
+        return tuple(out)
+
+    monkeypatch.setattr(filters, "nonparametric_step", poisoned_step)
+    with pytest.raises(ValueError, match=f"nonparametric_{field} at step n = 120"):
+        run()
 
 
 def test_estimator_output_tie_breaks_to_smaller_index(tmp_path):

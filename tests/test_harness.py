@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -259,12 +260,24 @@ class TestEmitTrace:
                           compute_nonparametric=False)
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
-        first = path.read_text().splitlines()[1].split(",")
-        header = path.read_text().splitlines()[0].split(",")
-        cells = dict(zip(header, first))
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = dict(zip(header, lines[1].split(",")))
         assert cells["s_np_filter"] == ""
         assert cells["post_np_1"] == ""
         assert cells["s_opt_filter"] != ""
+        lo, hi = cfg.eval_window
+        assert len(lines) == 1 + (hi - lo + 1)  # every step, empty columns and all
+        assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+    def test_trajectory_shorter_than_run_rejected(self, tmp_path):
+        cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
+        traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
+        run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
+                          compute_nonparametric=False)
+        short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
+        with pytest.raises(ValueError, match="the run ends at n = 100"):
+            emit_trace(short, run, tmp_path / "trace.csv")
 
     def test_trace_files_written_by_run_experiment(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=2))
@@ -294,9 +307,14 @@ def test_write_summary_format(tmp_path):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense"])
+@pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
 def test_summary_matches_golden_bytes(name, tmp_path):
-    # summary.csv fixed when the file was committed: any change to either
-    # filter's decisions, the bandwidth search or the CSV format shows here
-    run_experiment(load_config(DATA / f"{name}.json"), out_dir=tmp_path)
+    # summary.csv and the sha256 of every trace CSV fixed when the files were
+    # committed: any change to either filter's decisions or probabilities, the
+    # bandwidth search or the CSV formats shows here
+    run_experiment(load_config(DATA / f"{name}.json"), out_dir=tmp_path, trace=True)
     assert (tmp_path / "summary.csv").read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()
+    digests = json.loads((DATA / "golden_traces.json").read_text(encoding="utf-8"))[name]
+    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == sorted(digests)
+    for trace, digest in digests.items():
+        assert hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest() == digest, trace

@@ -306,9 +306,12 @@ class TestConditionalWeights:
 
     def test_window_view_is_bit_identical_to_fancy_index(self):
         # the windows were once gathered by a fancy index; beta must not move a bit
+        # (tau < 8: numpy's row sum is sequential there, as the strided slices are)
         x = np.random.default_rng(17).normal(size=200)
-        for n, tau, l in [(5, 1, 1), (6, 2, 3), (40, 2, 1), (41, 3, 2), (120, 1, 4),
-                          (200, 2, 1), (200, 5, 3), (199, 4, 7)]:
+        grid = [(n, tau, l) for tau in range(1, 6) for l in range(1, 4)
+                for n in range(tau + 3, 201, 13)]
+        for n, tau, l in grid + [(5, 1, 1), (6, 2, 3), (40, 2, 1), (41, 3, 2), (120, 1, 4),
+                                 (200, 2, 1), (200, 5, 3), (199, 4, 7)]:
             xs = x[:n - 1]
             N = 1 + (xs.shape[0] - (tau + 1)) // l
             windows = xs[l * np.arange(N)[:, None] + np.arange(tau)[None, :]]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,12 @@ class TestArStateParams:
         with pytest.raises(ValueError, match="^b must have a nonzero square"):
             ArStateParams(0.0, [0.1], 1e-200)
         assert ArStateParams(0.0, [0.1], 1e-160).b == 1e-160
+
+    def test_rejects_noise_scale_with_overflowing_square(self):
+        # b = 1e160 is finite, but b^2 overflows to an infinite emission variance
+        with pytest.raises(ValueError, match=r"^b must have a nonzero square that is finite.*1e\+160"):
+            ArStateParams(0.0, [0.1], 1e160)
+        assert ArStateParams(0.0, [0.1], 1e150).b == 1e150
 
     @pytest.mark.parametrize("field,mu,a,b", [
         ("mu", np.nan, [0.1], 1.0),
@@ -163,6 +171,37 @@ class TestSimulate:
             simulate(example_model(), 0)
         with pytest.raises(ValueError):
             simulate(example_model(), 10, burn_in=-1)
+
+    @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256", [
+        ("example", 5000, 100, 3,
+         "e83a6c9476c4bf5ccb442deb490113204c4c81b2251abacf97add3509069af99",
+         "a5e19593a0fb8b870a17e60e15b42638b4176dc4901b3561863a403d7901db32"),
+        ("two_state_p1", 3000, 0, 91,
+         "4072258a26acb5b4e436bc0819bcf45dfc8cf4e3dc634a4d07f27d6dd71dfb71",
+         "3a10a95d2ab7008500bbaab348d9cee84b4a8f4fd34b39ef8423a7ac8cef2547"),
+        ("four_state_initial", 4000, 20, 12345,
+         "8a99af5bd6ebd471baccbdd81d3da5a5209a573e6d690885802393b5710c0604",
+         "87be80c9d9ace3069e9c2b82c932a90b2f58f1071518f3f108446cc0241cf5c3"),
+    ])
+    def test_trajectory_bytes_are_pinned(self, name, n, burn_in, seed, s_sha256, x_sha256):
+        # digests of s (little-endian int64) and x (little-endian float64) fixed
+        # when the test was written: any change to the chain sampler, the
+        # seeding or the AR recursion shows here
+        models = {
+            "example": example_model,
+            "two_state_p1": lambda: SwitchingArModel(
+                TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
+                [ArStateParams(0.0, [0.5], 0.3), ArStateParams(1.0, [-0.3], 0.5)]),
+            "four_state_initial": lambda: SwitchingArModel(
+                TransitionMatrix([[0.7, 0.1, 0.1, 0.1], [0.0, 0.5, 0.5, 0.0],
+                                  [0.25, 0.25, 0.25, 0.25], [0.3, 0.0, 0.0, 0.7]]),
+                [ArStateParams(0.0, [0.1, 0.2, 0.3], 0.1), ArStateParams(0.5, [0.2, 0.3, -0.1], 0.2),
+                 ArStateParams(1.0, [0.1, 0.4, 0.0], 0.1), ArStateParams(-1.0, [0.0, 0.0, 0.5], 0.4)],
+                initial_dist=[0.0, 0.0, 1.0, 0.0]),
+        }
+        traj = simulate(models[name](), n, burn_in, seed)
+        assert hashlib.sha256(traj.s.astype("<i8").tobytes()).hexdigest() == s_sha256
+        assert hashlib.sha256(traj.x.astype("<f8").tobytes()).hexdigest() == x_sha256
 
 
 class TestTrajectory:
