@@ -16,7 +16,7 @@ from .harness import (ConfigError, ErrorStat, ErrorSummary, ExperimentConfig,
                       config_from_dict, emit_trace, example_config,
                       example_config_path, load_config, run_experiment)
 from .kde import (Bandwidth, EmbeddedSample, conditional_weights, embed,
-                  kde_eval, oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
+                  oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
 from .model import (ArStateParams, SwitchingArModel, Trajectory,
                     TransitionMatrix, model_from_dict, simulate,
                     stationary_distribution)
@@ -30,7 +30,7 @@ __all__ = [
     "SwitchingArModel", "Trajectory", "TransitionMatrix",
     "conditional_weights", "config_from_dict", "embed", "emit_trace",
     "example_config", "example_config_path", "is_positive_definite",
-    "kde_eval", "load_config", "model_from_dict", "nonparametric_step",
+    "load_config", "model_from_dict", "nonparametric_step",
     "optimal_step", "oversmoothed_bandwidth", "posterior_update",
     "product_integral", "run_experiment", "run_filters", "simulate",
     "solve_kkt", "stationary_distribution", "ucv_bandwidth", "ucv_objective",

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import product_integral
 from .kde import Bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
-from .model import SwitchingArModel, Trajectory, stationary_distribution
+from .model import SwitchingArModel, Trajectory
 from .simplex_qp import solve_kkt
 
 _SIMPLEX_TOL = 1e-10
@@ -110,14 +110,20 @@ def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
     """
     x = np.asarray(x, dtype=float)
     p = model.ar_order
-    means = model.ar_means(x[n - 1 - p:n - 1][::-1])
-    b2 = model.b2
+    return _mixture_coefficients(x, n, model.ar_means(x[n - 1 - p:n - 1][::-1]), model,
+                                 tau, l, h)
 
+
+def _mixture_coefficients(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
+                          tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`emission_mixture_problem` given step n's (M,) AR means."""
+    b2 = model.b2
     M = model.M
+    m, v = means.tolist(), b2.tolist()
     C = np.empty((M, M))
     for i in range(M):
         for j in range(i, M):
-            C[i, j] = C[j, i] = product_integral(means[i], b2[i], means[j], b2[j])
+            C[i, j] = C[j, i] = product_integral(m[i], v[i], m[j], v[j])
 
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
@@ -198,13 +204,18 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
                 compute_nonparametric: bool = True) -> FilterRun:
     """Run the selected filters over a trajectory, recording n >= eval_start.
 
-    The optimal filter starts from the stationary distribution at the first
+    Both filters read one lag view of the series (row i is the AR history of
+    step n = p + 1 + i), from which each builds its (steps, M) AR means and
+    log-emission matrix in one call before looping over the rows.  The
+    optimal filter starts from the stationary distribution at the first
     step with a full AR history and recurses to the end.  The nonparametric
-    filter is evaluated independently at each recorded step (it carries no
-    state across n).  If ``bandwidth`` is None it is selected once by UCV on
-    the delay embedding (dimension tau + 1) of the whole series; pass an
-    explicit value to pin it, e.g. when checking causality.  Every row is
-    checked to be a probability vector before the run is returned.
+    filter carries no state across n: each recorded step solves its own
+    simplex QP, bit for bit as :func:`nonparametric_step` does, and then
+    applies the shared Bayes update.  If ``bandwidth`` is None it is
+    selected once by UCV on the delay embedding (dimension tau + 1) of the
+    whole series; pass an explicit value to pin it, e.g. when checking
+    causality.  Every row is checked to be a probability vector before the
+    run is returned.
     """
     x = trajectory.x
     n_len = x.shape[0]
@@ -218,28 +229,39 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     M = model.M
     opt_pred = opt_post = npar_pred = npar_post = None
     fallback = np.zeros(T, dtype=bool)
+    # Row i holds the history x[p + i - 1], ..., x[i] of step n = p + 1 + i.
+    lags = sliding_window_view(x[:-1], p)[:, ::-1] if n_len > p else None
 
     if compute_optimal:
-        # Steps n = p + 1 .. n_len: row i has x_n = x[p + i] and its history
-        # x[p + i - 1], ..., x[i], so every emission term comes from one call.
+        # Steps n = p + 1 .. n_len: every emission term comes from one call.
         steps = max(n_len - p, 0)
         opt_pred, opt_post = np.empty((steps, M)), np.empty((steps, M))
         if steps:
-            lags = sliding_window_view(x[:-1], p)[:, ::-1]
             log_f = log_emissions(x[p:], lags, model)
             trans = model.transition.p
-            posterior = stationary_distribution(model.transition)
+            posterior = model.stationary
             with np.errstate(divide="ignore"):
                 for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
                     posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
         opt_pred, opt_post = opt_pred[eval_start - p - 1:], opt_post[eval_start - p - 1:]
 
     if compute_nonparametric:
-        npar_pred, npar_post = np.empty((T, M)), np.empty((T, M))
-        if bandwidth is None and T:
-            bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
-        for k in range(T):
-            npar_pred[k], npar_post[k], fallback[k] = nonparametric_step(
-                x, eval_start + k, model, tau, l, bandwidth.h)
+        # The predictive stays uniform for M = 1, as in nonparametric_step.
+        npar_pred, npar_post = np.full((T, M), 1.0 / M), np.empty((T, M))
+        if T:
+            if bandwidth is None:
+                bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
+            # Steps n = eval_start .. n_len.  The lag rows keep their strides:
+            # a contiguous copy would round some AR means differently.
+            hist = lags[eval_start - p - 1:]
+            means = model.ar_means(hist)
+            log_f = log_emissions(x[eval_start - 1:], hist, model)
+            with np.errstate(divide="ignore"):
+                for k in range(T):
+                    if M > 1:
+                        sol = solve_kkt(*_mixture_coefficients(
+                            x, eval_start + k, means[k], model, tau, l, bandwidth.h))
+                        npar_pred[k], fallback[k] = sol.u, sol.fallback
+                    _bayes_update(log_f[k], npar_pred[k], npar_post[k])
 
     return FilterRun(eval_start, fallback, opt_pred, opt_post, npar_pred, npar_post)

@@ -81,17 +81,6 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
     return EmbeddedSample(vectors=x[idx], d=d, l=l)
 
 
-def kde_eval(sample: EmbeddedSample, bw: Bandwidth, y) -> float:
-    """Kernel density estimate at the point y (shape (d,), scalar for d=1)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (sample.d,):
-        raise ValueError(f"y must have shape ({sample.d},), got {y.shape}")
-    h = bw.h
-    sq = np.sum((sample.vectors - y) ** 2, axis=1)
-    norm = sample.N * (2.0 * math.pi) ** (sample.d / 2.0) * h ** sample.d
-    return float(np.exp(-sq / (2.0 * h * h)).sum() / norm)
-
-
 def _ucv_from_sorted_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
     """UCV score from the ascending condensed pairwise squared distances (i < j)."""
     four_h2 = 4.0 * h * h

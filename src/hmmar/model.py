@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,6 +122,13 @@ class SwitchingArModel:
     def ar_order(self) -> int:
         return self.states[0].p
 
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """Read-only :func:`stationary_distribution` of the chain, computed once."""
+        pi = stationary_distribution(self.transition)
+        pi.setflags(write=False)
+        return pi
+
     def ar_means(self, history: np.ndarray) -> np.ndarray:
         """AR conditional mean mu + sum_i a_i (x[n-i] - mu) of every state.
 
@@ -200,9 +208,7 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     rng_noise = np.random.default_rng(noise_seq)
 
     p = model.ar_order
-    init = model.initial_dist
-    if init is None:
-        init = stationary_distribution(model.transition)
+    init = model.stationary if model.initial_dist is None else model.initial_dist
 
     total = burn_in + n
     cum_rows = np.cumsum(model.transition.p, axis=1)

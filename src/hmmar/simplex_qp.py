@@ -55,7 +55,7 @@ def is_positive_definite(C: np.ndarray) -> bool:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.diag(L) ** 2 > 1e-12))
+    return bool(np.all(L.diagonal() ** 2 > 1e-12))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -89,26 +89,28 @@ def _projected_gradient(C: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _active_set_table(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _active_set_table(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-M constants of the reduced KKT systems, one row k per active set.
 
     ``active[k, i]`` holds u_i = 0 (lambda_i is the unknown).  Rows follow
     the order sets are tried: popcount, then bitmask value.  The all-active
-    set is left out; its sum(u) = 1 row is zero.  ``floor[k, i]`` is the
-    lowest feasible value of unknown i.  ``base[k]`` is system k less C:
-    column i is (-e_i, 0) if active, else (0, 1) with C[:, i] filled in;
-    the last column (lambda_eq) is (1, ..., 1, 0).
+    set is left out; its sum(u) = 1 row is zero.  ``takes_c[k, 0, i]`` is
+    ``~active[k, i]``: the columns of system k that hold C[:, i].
+    ``floor[k, i]`` is the lowest feasible value of unknown i.  ``base[k]``
+    is system k less C: column i is (-e_i, 0) if active, else (0, 1) with
+    C[:, i] filled in; the last column (lambda_eq) is (1, ..., 1, 0).
     """
     masks = sorted(range((1 << M) - 1), key=lambda m: (m.bit_count(), m))
     active = (np.array(masks)[:, None] >> np.arange(M)) & 1 == 1
+    takes_c = ~active[:, None, :]
     floor = np.where(active, -_LAMBDA_TOL, -_U_FEAS_TOL)
     base = np.zeros((len(masks), M + 1, M + 1))
     base[:, :M, :M] = np.where(active[:, None, :], -np.eye(M), 0.0)
     base[:, M, :M] = ~active
     base[:, :M, M] = 1.0
-    for table in (active, floor, base):
+    for table in (active, takes_c, floor, base):
         table.setflags(write=False)
-    return active, floor, base
+    return active, takes_c, floor, base
 
 
 def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
@@ -148,10 +150,12 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
 
 def _enumerate_kkt(C: np.ndarray, c: np.ndarray) -> Optional[SimplexPoint]:
     M = c.shape[0]
-    active, floor, base = _active_set_table(M)
+    active, takes_c, floor, base = _active_set_table(M)
     A = base.copy()
-    np.copyto(A[:, :M, :M], C, where=~active[:, None, :])
-    rhs = np.append(c, 1.0)[:, None]
+    np.copyto(A[:, :M, :M], C, where=takes_c)
+    rhs = np.empty((M + 1, 1))
+    rhs[:M, 0] = c
+    rhs[M, 0] = 1.0
     scale = max(1.0, float(np.abs(c).max()), float(np.abs(C).max()))
     try:
         x = np.linalg.solve(A, rhs)

@@ -15,12 +15,13 @@ from scipy.stats import norm
 import hmmar
 from hmmar.filters import optimal_step, posterior_update, run_filters
 from hmmar.gaussian import product_integral
-from hmmar.kde import Bandwidth, EmbeddedSample, embed, kde_eval, oversmoothed_bandwidth, \
+from hmmar.kde import Bandwidth, EmbeddedSample, embed, oversmoothed_bandwidth, \
     ucv_bandwidth, ucv_objective
 from hmmar.model import simulate, stationary_distribution
 from hmmar.simplex_qp import solve_kkt
 from hmmar.harness import example_config, override, run_experiment
 
+from kde_reference import kde_eval
 from lattice_oracle import brute_force_solve, objective
 from test_kde import generic_ucv
 

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from hmmar.filters import (FilterRun, log_emissions, nonparametric_step, optimal_step,
                            posterior_update, run_filters, warmup_threshold)
 from hmmar.harness import emit_trace
-from hmmar.kde import Bandwidth
+from hmmar.kde import Bandwidth, embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate, stationary_distribution)
 
@@ -144,6 +144,39 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
         assert np.array_equal(predictive, pred_all[k]) and np.array_equal(posterior, post_all[k])
     if zeros:
         assert (post_all == 0.0).any()
+
+
+def assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth):
+    eval_start = warmup_threshold(model.ar_order, tau) + 1
+    run = run_filters(traj, model, tau=tau, l=l, eval_start=eval_start,
+                      bandwidth=bandwidth, compute_optimal=False)
+    h = (bandwidth or ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))).h
+    pred, post, fallback = map(np.array, zip(*(
+        nonparametric_step(traj.x, n, model, tau, l, h)
+        for n in range(eval_start, len(traj) + 1))))
+    assert np.array_equal(run.nonparametric_predictive, pred)
+    assert np.array_equal(run.nonparametric_posterior, post)
+    assert np.array_equal(run.qp_fallback, fallback)
+    return run
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_nonparametric_filter_matches_per_step_reference_exactly(M, p):
+    # run_filters' loop over the per-trajectory AR means and log-emission
+    # rows keeps every bit of a nonparametric_step loop, with h pinned and
+    # with h from UCV; tau stays below 8, where conditional_weights' row
+    # sums are sequential
+    model = random_model(M, p, np.random.default_rng(7 * M + p))
+    traj = simulate(model, 50, burn_in=20, rng_seed=10 * M + p)
+    for tau in range(1, 6):
+        for l in (1, 2, 3):
+            for bandwidth in (Bandwidth(0.3), None):
+                assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth)
+    if M > 1:
+        # a repeated state makes C singular, so every step falls back
+        twin = SwitchingArModel(model.transition, [*model.states[:-1], model.states[0]])
+        assert assert_nonparametric_matches_steps(traj, twin, 2, 1, None).qp_fallback.all()
 
 
 def test_identical_states_make_posterior_equal_predictive():
@@ -325,7 +358,7 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     traj = simulate(model, 120, burn_in=50, rng_seed=43)
     run = partial(run_filters, traj, model, tau=2, l=1, eval_start=100, bandwidth=Bandwidth(0.15))
 
-    # the optimal recursion writes every step through _bayes_update; the last
+    # both filters' loops write every step through _bayes_update; the last
     # step is the one with the emission row of x_120
     last_log_f = log_emissions(traj.x[-1], traj.x[-3:-1][::-1], model)
     update = filters._bayes_update
@@ -339,19 +372,8 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     monkeypatch.setattr(filters, "_bayes_update", poisoned_update)
     with pytest.raises(ValueError, match=f"optimal_{field} at step n = 120"):
         run(compute_nonparametric=False)
-    monkeypatch.undo()
-
-    step = filters.nonparametric_step
-
-    def poisoned_step(*args):
-        out = list(step(*args))
-        if args[1] == len(traj):  # n of the last step
-            out[field == "posterior"] = np.array(bad + [0.0])
-        return tuple(out)
-
-    monkeypatch.setattr(filters, "nonparametric_step", poisoned_step)
     with pytest.raises(ValueError, match=f"nonparametric_{field} at step n = 120"):
-        run()
+        run(compute_optimal=False)
 
 
 def test_estimator_output_tie_breaks_to_smaller_index(tmp_path):

@@ -8,9 +8,11 @@ from scipy.stats import multivariate_normal
 
 from hmmar.harness import example_config
 from hmmar.kde import (Bandwidth, EmbeddedSample, _golden_section,
-                       conditional_weights, embed, embedding_heads, kde_eval,
+                       conditional_weights, embed, embedding_heads,
                        oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
 from hmmar.model import simulate
+
+from kde_reference import kde_eval
 
 
 def generic_ucv(vectors: np.ndarray, H: np.ndarray) -> float:

@@ -113,6 +113,20 @@ class TestStationaryDistribution:
         pi = stationary_distribution(TransitionMatrix([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-10)
 
+    def test_model_caches_same_bits_read_only(self):
+        model = example_model()
+        pi = model.stationary
+        assert pi is model.stationary
+        assert np.array_equal(pi, stationary_distribution(model.transition))
+        assert not pi.flags.writeable
+
+    def test_reducible_chain_rejected_through_model(self):
+        same = ArStateParams(0.0, [0.1], 1.0)
+        model = SwitchingArModel(TransitionMatrix(np.eye(2)), [same, same])
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(ValueError, match="reducible"):
+                simulate(model, 10)
+
 
 class TestSimulate:
     def test_deterministic_given_seed(self):
