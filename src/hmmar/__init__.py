@@ -9,8 +9,7 @@ simplex-constrained QP) when it is not.  A Monte-Carlo harness compares the
 two on repeated experiments.
 """
 
-from .filters import (FilterRun, nonparametric_step, optimal_step, posterior_update,
-                      run_filters, warmup_threshold)
+from .filters import FilterRun, run_filters, warmup_threshold
 from .gaussian import product_integral
 from .harness import (ConfigError, ErrorStat, ErrorSummary, ExperimentConfig,
                       config_from_dict, emit_trace, example_config,
@@ -30,9 +29,7 @@ __all__ = [
     "SwitchingArModel", "Trajectory", "TransitionMatrix",
     "conditional_weights", "config_from_dict", "embed", "emit_trace",
     "example_config", "example_config_path", "is_positive_definite",
-    "load_config", "model_from_dict", "nonparametric_step",
-    "optimal_step", "oversmoothed_bandwidth", "posterior_update",
-    "product_integral", "run_experiment", "run_filters", "simulate",
-    "solve_kkt", "stationary_distribution", "ucv_bandwidth", "ucv_objective",
-    "warmup_threshold",
+    "load_config", "model_from_dict", "oversmoothed_bandwidth", "product_integral",
+    "run_experiment", "run_filters", "simulate", "solve_kkt",
+    "stationary_distribution", "ucv_bandwidth", "ucv_objective", "warmup_threshold",
 ]

@@ -8,7 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import MODES, ConfigError, load_config, override, run_experiment
+from .filters import MODES
+from .harness import ConfigError, load_config, override, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,9 @@ from .simplex_qp import solve_kkt
 
 _SIMPLEX_TOL = 1e-10
 
+#: Values of ``run_filters``' ``mode``: which filters run.
+MODES = ("optimal", "nonparametric", "both")
+
 #: Extra steps granted to the nonparametric path before its output counts.
 WARMUP_MARGIN = 20
 
@@ -198,32 +201,34 @@ class FilterRun:
 
 
 def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
-                l: int = 1, eval_start: int = 1,
-                bandwidth: Optional[Bandwidth] = None,
-                compute_optimal: bool = True,
-                compute_nonparametric: bool = True) -> FilterRun:
-    """Run the selected filters over a trajectory, recording n >= eval_start.
+                l: int = 1, *, eval_start: int, bandwidth: Optional[Bandwidth] = None,
+                mode: str = "both") -> FilterRun:
+    """Run the filters ``mode`` selects (one of :data:`MODES`), recording n >= eval_start.
 
-    Both filters read one lag view of the series (row i is the AR history of
-    step n = p + 1 + i), from which each builds its (steps, M) AR means and
-    log-emission matrix in one call before looping over the rows.  The
-    optimal filter starts from the stationary distribution at the first
-    step with a full AR history and recurses to the end.  The nonparametric
-    filter carries no state across n: each recorded step solves its own
-    simplex QP, bit for bit as :func:`nonparametric_step` does, and then
-    applies the shared Bayes update.  If ``bandwidth`` is None it is
-    selected once by UCV on the delay embedding (dimension tau + 1) of the
-    whole series; pass an explicit value to pin it, e.g. when checking
-    causality.  Every row is checked to be a probability vector before the
-    run is returned.
+    A filter that did not run leaves its arrays None.  Both filters read one
+    lag view of the series (row i is the AR history of step n = p + 1 + i),
+    from which each builds its (steps, M) AR means and log-emission matrix
+    in one call before looping over the rows.  The optimal filter starts
+    from the stationary distribution at the first step with a full AR
+    history and recurses to the end.  The nonparametric filter carries no
+    state across n: each recorded step solves its own simplex QP, bit for
+    bit as :func:`nonparametric_step` does, and then applies the shared
+    Bayes update.  If ``bandwidth`` is None it is selected once by UCV on
+    the delay embedding (dimension tau + 1) of the whole series; pass an
+    explicit value to pin it, e.g. when checking causality.  ``eval_start``
+    must exceed :func:`warmup_threshold` if the nonparametric filter runs,
+    else the AR order.  Every row is checked to be a probability vector
+    before the run is returned.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     x = trajectory.x
     n_len = x.shape[0]
     p = model.ar_order
     thresh = warmup_threshold(p, tau)
-    if compute_nonparametric and eval_start <= thresh:
+    if mode != "optimal" and eval_start <= thresh:
         raise ValueError(f"eval_start must exceed the warm-up threshold {thresh}")
-    if not compute_nonparametric and eval_start <= p:
+    if eval_start <= p:
         raise ValueError(f"eval_start must exceed the AR order {p}")
     T = max(n_len + 1 - eval_start, 0)
     M = model.M
@@ -232,7 +237,7 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     # Row i holds the history x[p + i - 1], ..., x[i] of step n = p + 1 + i.
     lags = sliding_window_view(x[:-1], p)[:, ::-1] if n_len > p else None
 
-    if compute_optimal:
+    if mode != "nonparametric":
         # Steps n = p + 1 .. n_len: every emission term comes from one call.
         steps = max(n_len - p, 0)
         opt_pred, opt_post = np.empty((steps, M)), np.empty((steps, M))
@@ -245,7 +250,7 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
                     posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
         opt_pred, opt_post = opt_pred[eval_start - p - 1:], opt_post[eval_start - p - 1:]
 
-    if compute_nonparametric:
+    if mode != "optimal":
         # The predictive stays uniform for M = 1, as in nonparametric_step.
         npar_pred, npar_post = np.full((T, M), 1.0 / M), np.empty((T, M))
         if T:

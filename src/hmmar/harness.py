@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -25,14 +25,18 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import FilterRun, run_filters, warmup_threshold
+from .filters import MODES, FilterRun, run_filters, warmup_threshold
 from .model import SwitchingArModel, Trajectory, model_from_dict, simulate
 
-MODES = ("optimal", "nonparametric", "both")
+#: (method, task, FilterRun field scored) of each summary row, in output order.  A
+#: row's per-repeat key is f"{method}_{task}", its ErrorSummary field f"{task}_error_{method}".
+_ROWS = (("optimal", "filtering", "optimal_posterior"),
+         ("optimal", "prediction", "optimal_predictive"),
+         ("nonparametric", "filtering", "nonparametric_posterior"),
+         ("nonparametric", "prediction", "nonparametric_predictive"))
 
-#: (method, task) of each summary row, in output order.
-_ROWS = (("optimal", "filtering"), ("optimal", "prediction"),
-         ("nonparametric", "filtering"), ("nonparametric", "prediction"))
+#: Lowest allowed value of each integer field of ExperimentConfig.
+_INT_FLOORS = {"n_total": 1, "tau": 1, "l": 1, "repeats": 1, "seed": 0, "burn_in": 0}
 
 
 class ConfigError(ValueError):
@@ -59,50 +63,35 @@ class ExperimentConfig:
     mode: str = "both"
 
     def __post_init__(self):
-        for name in ("n_total", "tau", "l", "repeats", "seed", "burn_in"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        try:
+            self.model.stationary  # cached on the model; a reducible chain fails here
+        except ValueError as exc:
+            raise ConfigError(f"model: transition: {exc}") from exc
+        for name, lowest in _INT_FLOORS.items():
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < lowest:
+                raise ConfigError(f"{name} must be >= {lowest}, got {value}")
         window = self.eval_window
         if not (isinstance(window, (list, tuple)) and len(window) == 2
                 and all(map(_is_int, window))):
             raise ConfigError(f"eval_window must be two integers [lo, hi], got {window!r}")
-        self.eval_window = tuple(window)
-        if self.n_total < 1:
-            raise ConfigError(f"n_total must be >= 1, got {self.n_total}")
-        lo, hi = self.eval_window
+        self.eval_window = lo, hi = tuple(window)
         if not (1 <= lo <= hi <= self.n_total):
             raise ConfigError(
                 f"eval_window must satisfy 1 <= lo <= hi <= n_total, got ({lo}, {hi})"
             )
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.l < 1:
-            raise ConfigError(f"l must be >= 1, got {self.l}")
         thresh = warmup_threshold(self.model.ar_order, self.tau)
         if lo <= thresh:
             raise ConfigError(
                 f"eval_window start {lo} must exceed the warm-up threshold {thresh}"
             )
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.burn_in < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    @property
-    def with_optimal(self) -> bool:
-        return self.mode in ("optimal", "both")
 
-    @property
-    def with_nonparametric(self) -> bool:
-        return self.mode in ("nonparametric", "both")
-
-
-_CONFIG_KEYS = {"model", "n_total", "eval_window", "tau", "l", "repeats",
-                "seed", "burn_in", "mode"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -119,10 +108,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         model = model_from_dict(doc["model"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    kwargs = {k: doc[k] for k in ("tau", "l", "repeats", "seed", "burn_in", "mode")
-              if k in doc}
-    return ExperimentConfig(model=model, n_total=doc["n_total"],
-                            eval_window=doc["eval_window"], **kwargs)
+    return ExperimentConfig(model=model, **{k: v for k, v in doc.items() if k != "model"})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -139,8 +125,7 @@ def load_config(path) -> ExperimentConfig:
 
 def example_config() -> ExperimentConfig:
     """The bundled three-state AR(2) example configuration."""
-    text = resources.files("hmmar").joinpath("example.json").read_text(encoding="utf-8")
-    return config_from_dict(json.loads(text))
+    return load_config(example_config_path())
 
 
 def example_config_path() -> str:
@@ -170,8 +155,8 @@ class ErrorSummary:
 
     def rows(self) -> list[tuple[str, str, ErrorStat]]:
         """(method, task, stat) of every method that ran, in ``summary.csv`` order."""
-        stats = ((method, task, getattr(self, f"{task}_error_{method}")) for method, task in _ROWS)
-        return [row for row in stats if row[2] is not None]
+        return [(method, task, st) for method, task, _ in _ROWS
+                if (st := getattr(self, f"{task}_error_{method}")) is not None]
 
 
 def _fmt(value: float) -> str:
@@ -179,28 +164,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _run_one(task) -> tuple[dict, int, Optional[FilterRun]]:
-    """Worker for a single repeat; top-level so process pools can pickle it."""
+def _run_one(task) -> tuple[dict, Optional[FilterRun]]:
+    """Worker for a single repeat; top-level so process pools can pickle it.
+
+    Returns ``({f"{method}_{task}": error, ..., "qp_fallback": steps}, run if kept)``.
+    """
     config, r, trace_dir, keep = task
     traj = simulate(config.model, config.n_total, config.burn_in, config.seed + r)
     lo, hi = config.eval_window
     clipped = Trajectory(s=traj.s[:hi], x=traj.x[:hi])
-    run = run_filters(
-        clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
-        compute_optimal=config.with_optimal,
-        compute_nonparametric=config.with_nonparametric,
-    )
+    run = run_filters(clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
+                      mode=config.mode)
     truth = clipped.s[lo - 1:]
-    errors: dict = {}
-    if config.with_optimal:
-        errors["optimal_filtering"] = _error_fraction(run.optimal_posterior, truth)
-        errors["optimal_prediction"] = _error_fraction(run.optimal_predictive, truth)
-    if config.with_nonparametric:
-        errors["nonparametric_filtering"] = _error_fraction(run.nonparametric_posterior, truth)
-        errors["nonparametric_prediction"] = _error_fraction(run.nonparametric_predictive, truth)
+    record = {f"{method}_{task}": _error_fraction(getattr(run, field), truth)
+              for method, task, field in _ROWS if getattr(run, field) is not None}
+    record["qp_fallback"] = int(run.qp_fallback.sum())
     if trace_dir is not None:
         emit_trace(clipped, run, Path(trace_dir) / f"trace_{r}.csv")
-    return errors, int(run.qp_fallback.sum()), (run if keep else None)
+    return record, (run if keep else None)
 
 
 def _error_fraction(probs: np.ndarray, truth: np.ndarray) -> float:
@@ -234,12 +215,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
     """
     if trace and out_dir is None:
         raise ConfigError("trace output requires out_dir")
-    trace_dir = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if trace:
-            trace_dir = str(out_dir)
+    trace_dir = str(out_dir) if trace else None
 
     tasks = [(config, r, trace_dir, keep_records) for r in range(config.repeats)]
     workers = _worker_count(config.repeats)
@@ -249,12 +228,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
     else:
         results = [_run_one(t) for t in tasks]
 
-    per_repeat = {}
-    for key in (f"{method}_{task}" for method, task in _ROWS):
-        if key in results[0][0]:
-            per_repeat[key] = np.array([res[0][key] for res in results])
-    per_repeat["qp_fallback"] = np.array([res[1] for res in results])
-    fallback_total = int(per_repeat["qp_fallback"].sum())
+    per_repeat = {key: np.array([record[key] for record, _ in results])
+                  for key in results[0][0]}
 
     def stat(key: str) -> Optional[ErrorStat]:
         if key not in per_repeat:
@@ -264,18 +239,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
         return ErrorStat(mean=float(vals.mean()), stderr=stderr)
 
     summary = ErrorSummary(
-        filtering_error_optimal=stat("optimal_filtering"),
-        prediction_error_optimal=stat("optimal_prediction"),
-        filtering_error_nonparametric=stat("nonparametric_filtering"),
-        prediction_error_nonparametric=stat("nonparametric_prediction"),
+        **{f"{task}_error_{method}": stat(f"{method}_{task}") for method, task, _ in _ROWS},
         repeats=config.repeats,
-        qp_fallback_steps=fallback_total,
+        qp_fallback_steps=int(per_repeat["qp_fallback"].sum()),
         per_repeat=per_repeat,
     )
     if out_dir is not None:
         write_summary(summary, out_dir / "summary.csv")
     if keep_records:
-        return summary, [res[2] for res in results]
+        return summary, [run for _, run in results]
     return summary
 
 
@@ -328,5 +300,4 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
 
 def override(config: ExperimentConfig, **changes) -> ExperimentConfig:
     """Non-destructive update with re-validation (used by the CLI)."""
-    changes = {k: v for k, v in changes.items() if v is not None}
-    return replace(config, **changes) if changes else config
+    return replace(config, **{k: v for k, v in changes.items() if v is not None})

@@ -21,6 +21,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 _ROW_SUM_TOL = 1e-12
+_STATIONARY_MAX_ITER = 10_000  # power-iteration budget of stationary_distribution
+_STATIONARY_TOL = 1e-13  # its L1 step size at convergence
 
 
 @dataclass(eq=False)
@@ -158,8 +160,7 @@ class Trajectory:
         return self.s.shape[0]
 
 
-def stationary_distribution(t: TransitionMatrix, max_iter: int = 10_000,
-                            tol: float = 1e-13) -> np.ndarray:
+def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
     """Stationary distribution pi with pi @ P = pi.
 
     Power iteration on the lazy chain (P + I)/2, which shares the fixed point
@@ -179,13 +180,13 @@ def stationary_distribution(t: TransitionMatrix, max_iter: int = 10_000,
         raise ValueError("chain is reducible: stationary distribution is not unique")
     Q = 0.5 * (P + np.eye(t.M))
     pi = np.full(t.M, 1.0 / t.M)
-    for _ in range(max_iter):
+    for _ in range(_STATIONARY_MAX_ITER):
         nxt = pi @ Q
         nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
+        if np.abs(nxt - pi).sum() < _STATIONARY_TOL:
             return nxt
         pi = nxt
-    raise ValueError(f"power iteration did not converge in {max_iter} steps")
+    raise ValueError(f"power iteration did not converge in {_STATIONARY_MAX_ITER} steps")
 
 
 def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
@@ -293,7 +294,10 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
         a = sdoc["a"]
         if not (_is_number(a) or isinstance(a, list) and all(map(_is_number, a))):
             raise ValueError(f"states[{i}].a must be a list of numbers, got {a!r}")
-        states.append(ArStateParams(mu=sdoc["mu"], a=sdoc["a"], b=sdoc["b"]))
+        try:
+            states.append(ArStateParams(mu=sdoc["mu"], a=sdoc["a"], b=sdoc["b"]))
+        except ValueError as exc:  # its messages start with the parameter's name
+            raise ValueError(f"states[{i}].{exc}") from None
     initial = doc.get("initial_dist")
     return SwitchingArModel(
         transition=TransitionMatrix(_float_array(doc, "transition")),

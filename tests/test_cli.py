@@ -64,22 +64,32 @@ def test_validate_rejects_wrong_types(config_path, field, value, capsys):
 def test_non_finite_model_parameter_exits_2(config_path, capsys):
     edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=float("inf")))
     assert main(["run", "--config", config_path]) == 2
-    assert "config error: model: b must be" in capsys.readouterr().err
+    assert "config error: model: states[0].b must be" in capsys.readouterr().err
 
 
 def test_underflowing_noise_scale_exits_2(config_path, capsys):
     # b = 1e-200 is positive, but b^2 underflows to a zero emission variance
     edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e-200))
     assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
-    assert "config error: model: b must have a nonzero square" in capsys.readouterr().err
+    assert "config error: model: states[0].b must have a nonzero square" in capsys.readouterr().err
 
 
 def test_overflowing_noise_scale_exits_2(config_path, capsys):
     # b = 1e160 squares to inf; the run used to exit 3 on the NaN series it simulated
     edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e160))
     assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
-    assert "config error: model: b must have a nonzero square that is finite" \
+    assert "config error: model: states[0].b must have a nonzero square that is finite" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_reducible_chain_exits_2(config_path, command, capsys):
+    # no unique stationary distribution for the optimal filter to start from
+    edit_config(config_path, lambda doc: doc["model"].update(
+        transition=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert main([command, "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model: transition: chain is reducible" in err
 
 
 @pytest.mark.parametrize("field,edit", [

@@ -132,7 +132,7 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
     traj = simulate(model, 300, burn_in=20, rng_seed=M + p)
     x = traj.x
     for eval_start in (p + 1, 50, 300, 301):
-        run = run_filters(traj, model, eval_start=eval_start, compute_nonparametric=False)
+        run = run_filters(traj, model, eval_start=eval_start, mode="optimal")
         pred, post = reference_optimal_filter(x, model, eval_start)
         assert run.optimal_predictive.shape == (301 - eval_start, M)
         assert np.array_equal(run.optimal_predictive, pred)
@@ -149,7 +149,7 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
 def assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth):
     eval_start = warmup_threshold(model.ar_order, tau) + 1
     run = run_filters(traj, model, tau=tau, l=l, eval_start=eval_start,
-                      bandwidth=bandwidth, compute_optimal=False)
+                      bandwidth=bandwidth, mode="nonparametric")
     h = (bandwidth or ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))).h
     pred, post, fallback = map(np.array, zip(*(
         nonparametric_step(traj.x, n, model, tau, l, h)
@@ -306,7 +306,7 @@ class TestRunFilters:
     def test_well_separated_states_filter_nearly_perfectly(self):
         model = separated_model()
         traj = simulate(model, 10_000, burn_in=100, rng_seed=23)
-        run = run_filters(traj, model, eval_start=2, compute_nonparametric=False)
+        run = run_filters(traj, model, eval_start=2, mode="optimal")
         wrong = run.optimal_posterior.argmax(axis=1) + 1 != traj.s[1:]
         assert wrong.mean() < 0.01
 
@@ -340,13 +340,15 @@ class TestRunFilters:
     def test_method_selection(self):
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=37)
-        run = run_filters(traj, model, eval_start=100, compute_nonparametric=False)
+        run = run_filters(traj, model, eval_start=100, mode="optimal")
         assert run.nonparametric_posterior is None and run.nonparametric_predictive is None
         assert run.optimal_posterior.shape == run.optimal_predictive.shape == (21, 3)
         assert not run.qp_fallback.any()
-        run = run_filters(traj, model, eval_start=100, compute_optimal=False)
+        run = run_filters(traj, model, eval_start=100, mode="nonparametric")
         assert run.optimal_posterior is None and run.optimal_predictive is None
         assert run.nonparametric_posterior.shape == run.nonparametric_predictive.shape == (21, 3)
+        with pytest.raises(ValueError, match="mode"):
+            run_filters(traj, model, eval_start=100, mode="nope")
 
 
 @pytest.mark.parametrize("field", ["predictive", "posterior"])
@@ -371,9 +373,9 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
 
     monkeypatch.setattr(filters, "_bayes_update", poisoned_update)
     with pytest.raises(ValueError, match=f"optimal_{field} at step n = 120"):
-        run(compute_nonparametric=False)
+        run(mode="optimal")
     with pytest.raises(ValueError, match=f"nonparametric_{field} at step n = 120"):
-        run(compute_optimal=False)
+        run(mode="nonparametric")
 
 
 def test_estimator_output_tie_breaks_to_smaller_index(tmp_path):

@@ -123,7 +123,7 @@ class TestConfigParsing:
     def test_non_finite_model_parameters_rejected(self, param, value):
         doc = small_doc()
         doc["model"]["states"][1][param] = value
-        with pytest.raises(ConfigError, match=f"^model: {param} must be"):
+        with pytest.raises(ConfigError, match=rf"^model: states\[1\]\.{param} must be"):
             config_from_dict(doc)
 
     def test_eval_window_must_clear_warmup(self):
@@ -257,7 +257,7 @@ class TestEmitTrace:
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
         run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
-                          compute_nonparametric=False)
+                          mode="optimal")
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
         lines = path.read_text().splitlines()
@@ -274,7 +274,7 @@ class TestEmitTrace:
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
         run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
-                          compute_nonparametric=False)
+                          mode="optimal")
         short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
         with pytest.raises(ValueError, match="the run ends at n = 100"):
             emit_trace(short, run, tmp_path / "trace.csv")
