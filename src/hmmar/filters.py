@@ -40,20 +40,16 @@ def warmup_threshold(p: int, tau: int) -> int:
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
-def log_emissions(x_n: float | np.ndarray, history: np.ndarray,
+def log_emissions(x_n: float | np.ndarray, means: np.ndarray,
                   model: SwitchingArModel) -> np.ndarray:
-    """log f_m(x_n) for every state m, given the last p observations.
+    """log f_m(x_n) for every state m, given the (M,) AR means of x_n's history.
 
-    With a (k,) array of observations and a (k, p) stack of their histories
-    the result is the (k, M) matrix of every row at once.
+    ``means`` comes from :meth:`SwitchingArModel.ar_means`.  With a (k,) array
+    of observations and their (k, M) means the result is the (k, M) matrix.
     """
-    history = np.asarray(history, dtype=float)
-    p = model.ar_order
-    if history.ndim not in (1, 2) or history.shape[-1] != p:
-        raise ValueError(f"history must hold {p} values (most recent first)")
     b2 = model.b2
     x_n = np.asarray(x_n, dtype=float)[..., None]
-    return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - model.ar_means(history)) ** 2 / (2.0 * b2)
+    return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - means) ** 2 / (2.0 * b2)
 
 
 def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -85,8 +81,7 @@ def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
     in log space, then renormalizes, so extreme observations cannot underflow
     the whole vector.
     """
-    predictive = np.asarray(predictive, dtype=float)
-    log_f = log_emissions(x_n, history, model)
+    log_f = log_emissions(x_n, model.ar_means(history), model)
     with np.errstate(divide="ignore"):
         return _bayes_update(log_f, predictive, np.empty_like(log_f))
 
@@ -157,13 +152,11 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
     if x.shape[0] < n:
         raise ValueError(f"series has {x.shape[0]} values, step n = {n} needs x_n")
 
-    fallback = False
     if M == 1 or n <= warmup_threshold(p, tau):
-        predictive = np.full(M, 1.0 / M)
+        predictive, fallback = np.full(M, 1.0 / M), False
     else:
         sol = solve_kkt(*emission_mixture_problem(x, n, model, tau, l, h))
-        predictive = sol.u
-        fallback = sol.fallback
+        predictive, fallback = sol.u, sol.fallback
 
     history = x[n - 1 - p:n - 1][::-1]
     return predictive, posterior_update(predictive, x[n - 1], history, model), fallback
@@ -175,9 +168,10 @@ class FilterRun:
 
     Each method has a (T, M) predictive array, rows P(S_n = . | x_1^{n-1}),
     and a posterior array, rows P(S_n = . | x_1^n); both are None for a
-    method that did not run.  ``qp_fallback`` (T,) marks nonparametric steps
-    whose QP fell back to projected gradient.  The decision of a row is its
-    ``argmax + 1`` (1-based; ties go to the smaller index).
+    method that did not run, and at least one method must have run.
+    ``qp_fallback`` (T,) marks nonparametric steps whose QP fell back to
+    projected gradient.  The decision of a row is its ``argmax + 1``
+    (1-based; ties go to the smaller index).
     """
 
     eval_start: int
@@ -188,6 +182,8 @@ class FilterRun:
     nonparametric_posterior: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.optimal_posterior is None and self.nonparametric_posterior is None:
+            raise ValueError("a FilterRun must hold the arrays of at least one method")
         for name in ("optimal_predictive", "optimal_posterior",
                      "nonparametric_predictive", "nonparametric_posterior"):
             v = getattr(self, name)
@@ -206,19 +202,18 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     """Run the filters ``mode`` selects (one of :data:`MODES`), recording n >= eval_start.
 
     A filter that did not run leaves its arrays None.  Both filters read one
-    lag view of the series (row i is the AR history of step n = p + 1 + i),
-    from which each builds its (steps, M) AR means and log-emission matrix
-    in one call before looping over the rows.  The optimal filter starts
-    from the stationary distribution at the first step with a full AR
-    history and recurses to the end.  The nonparametric filter carries no
-    state across n: each recorded step solves its own simplex QP, bit for
-    bit as :func:`nonparametric_step` does, and then applies the shared
-    Bayes update.  If ``bandwidth`` is None it is selected once by UCV on
-    the delay embedding (dimension tau + 1) of the whole series; pass an
-    explicit value to pin it, e.g. when checking causality.  ``eval_start``
-    must exceed :func:`warmup_threshold` if the nonparametric filter runs,
-    else the AR order.  Every row is checked to be a probability vector
-    before the run is returned.
+    emission pass over steps n = p + 1 .. len(x): the lag view of the series,
+    its (steps, M) AR means and log-emission matrix, one call each.  The
+    optimal filter starts from the stationary distribution at n = p + 1 and
+    recurses over every row.  The nonparametric filter carries no state
+    across n: each recorded step solves its own simplex QP from its row of
+    AR means, bit for bit as :func:`nonparametric_step` does, and applies
+    the Bayes update to its log-emission row.  If ``bandwidth`` is None it
+    is selected once by UCV on the delay embedding (dimension tau + 1) of
+    the whole series; pass an explicit value to pin it, e.g. when checking
+    causality.  ``eval_start`` must exceed :func:`warmup_threshold` if the
+    nonparametric filter runs, else the AR order.  Every row is checked to
+    be a probability vector before the run is returned.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -235,38 +230,31 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
     opt_pred = opt_post = npar_pred = npar_post = None
     fallback = np.zeros(T, dtype=bool)
     # Row i holds the history x[p + i - 1], ..., x[i] of step n = p + 1 + i.
-    lags = sliding_window_view(x[:-1], p)[:, ::-1] if n_len > p else None
+    lags = sliding_window_view(x[:-1], p)[:, ::-1] if n_len > p else np.empty((0, p))
+    means = model.ar_means(lags)
+    log_f = log_emissions(x[p:], means, model)
+    k0 = eval_start - p - 1  # row of step n = eval_start
 
     if mode != "nonparametric":
-        # Steps n = p + 1 .. n_len: every emission term comes from one call.
-        steps = max(n_len - p, 0)
-        opt_pred, opt_post = np.empty((steps, M)), np.empty((steps, M))
-        if steps:
-            log_f = log_emissions(x[p:], lags, model)
-            trans = model.transition.p
-            posterior = model.stationary
-            with np.errstate(divide="ignore"):
-                for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
-                    posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
-        opt_pred, opt_post = opt_pred[eval_start - p - 1:], opt_post[eval_start - p - 1:]
+        opt_pred, opt_post = np.empty_like(log_f), np.empty_like(log_f)
+        trans = model.transition.p
+        posterior = model.stationary
+        with np.errstate(divide="ignore"):
+            for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
+                posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
+        opt_pred, opt_post = opt_pred[k0:], opt_post[k0:]
 
     if mode != "optimal":
         # The predictive stays uniform for M = 1, as in nonparametric_step.
         npar_pred, npar_post = np.full((T, M), 1.0 / M), np.empty((T, M))
-        if T:
-            if bandwidth is None:
-                bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
-            # Steps n = eval_start .. n_len.  The lag rows keep their strides:
-            # a contiguous copy would round some AR means differently.
-            hist = lags[eval_start - p - 1:]
-            means = model.ar_means(hist)
-            log_f = log_emissions(x[eval_start - 1:], hist, model)
-            with np.errstate(divide="ignore"):
-                for k in range(T):
-                    if M > 1:
-                        sol = solve_kkt(*_mixture_coefficients(
-                            x, eval_start + k, means[k], model, tau, l, bandwidth.h))
-                        npar_pred[k], fallback[k] = sol.u, sol.fallback
-                    _bayes_update(log_f[k], npar_pred[k], npar_post[k])
+        if T and bandwidth is None:
+            bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
+        with np.errstate(divide="ignore"):
+            for k in range(T):
+                if M > 1:
+                    sol = solve_kkt(*_mixture_coefficients(
+                        x, eval_start + k, means[k0 + k], model, tau, l, bandwidth.h))
+                    npar_pred[k], fallback[k] = sol.u, sol.fallback
+                _bayes_update(log_f[k0 + k], npar_pred[k], npar_post[k])
 
     return FilterRun(eval_start, fallback, opt_pred, opt_post, npar_pred, npar_post)

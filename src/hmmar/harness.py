@@ -270,11 +270,10 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
     posteriors = (run.optimal_posterior, run.nonparametric_posterior)
     decided = (*posteriors, run.optimal_predictive, run.nonparametric_predictive)
     decisions = [None if v is None else v.argmax(axis=1) + 1 for v in decided]
-    n_states = next((v.shape[1] for v in decided if v is not None), None)
+    n_states = next(v.shape[1] for v in posteriors if v is not None)
     header = ["n", "s_true", "x", "s_opt_filter", "s_np_filter", "s_opt_pred", "s_np_pred"]
-    if n_states is not None:
-        header += [f"post_opt_{m}" for m in range(1, n_states + 1)]
-        header += [f"post_np_{m}" for m in range(1, n_states + 1)]
+    header += [f"post_opt_{m}" for m in range(1, n_states + 1)]
+    header += [f"post_np_{m}" for m in range(1, n_states + 1)]
     # Built by columns, one map() each.  float.__repr__ of a float64 is _fmt's
     # shortest round-trip form; mapping it over the array builds no float list.
     T = run.qp_fallback.shape[0]
@@ -285,11 +284,10 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
                map(str, trajectory.s[lo:lo + T].tolist()),
                map(float.__repr__, trajectory.x[lo:lo + T])]
     columns += [repeat("", T) if d is None else map(str, d.tolist()) for d in decisions]
-    if n_states is not None:
-        for post in posteriors:
-            # one repeat() per empty column: zip() would drain a shared iterator n_states times
-            columns += ([repeat("", T) for _ in range(n_states)] if post is None
-                        else [map(float.__repr__, col) for col in post.T])
+    for post in posteriors:
+        # one repeat() per empty column: zip() would drain a shared iterator n_states times
+        columns += ([repeat("", T) for _ in range(n_states)] if post is None
+                    else [map(float.__repr__, col) for col in post.T])
     lines = [",".join(header), *map(",".join, zip(*columns)), ""]  # "" ends the last line
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -28,24 +28,24 @@ _MAX_ITER = 200
 
 @dataclass(eq=False)
 class EmbeddedSample:
-    """Delay-embedded sample: ``vectors`` has shape (N, d), stride ``l``."""
+    """Delay-embedded sample: ``vectors`` has shape (N, d)."""
 
     vectors: np.ndarray
-    d: int
-    l: int
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.d:
-            raise ValueError(f"vectors must have shape (N, {self.d})")
+        if self.vectors.ndim != 2:
+            raise ValueError(f"vectors must have shape (N, d), got {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors must be finite")
-        if self.l < 1:
-            raise ValueError(f"stride l must be >= 1, got {self.l}")
 
     @property
     def N(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
 
     @cached_property
     def sorted_sq_dists(self) -> np.ndarray:
@@ -78,7 +78,7 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
         raise ValueError(f"series of length {n_source} is too short to embed in dimension {d}")
     N = 1 + (n_source - d) // l
     idx = l * np.arange(N)[:, None] + np.arange(d)[None, :]
-    return EmbeddedSample(vectors=x[idx], d=d, l=l)
+    return EmbeddedSample(vectors=x[idx])
 
 
 def _ucv_from_sorted_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:

@@ -138,6 +138,8 @@ class SwitchingArModel:
         (k, p) stack of histories gives a (k, M) array, row by row bit-equal
         to the (M,) result of each history alone.
         """
+        if history.ndim not in (1, 2) or history.shape[-1] != self.ar_order:
+            raise ValueError(f"history must hold {self.ar_order} values (most recent first)")
         # matmul over (p, 1) columns rounds like a @ history for one history;
         # einsum or lags @ a.T would not.
         return self.mu + np.matmul(self.a, history[..., None])[..., 0] - self._a_mu

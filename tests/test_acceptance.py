@@ -123,11 +123,11 @@ def test_criterion_5_gaussian_identities():
             worst_pi = max(worst_pi, abs(product_integral(m1, v1, m2, v2) - oracle))
 
     rng = np.random.default_rng(31)
-    sample1 = EmbeddedSample(vectors=rng.normal(size=(4, 1)), d=1, l=1)
+    sample1 = EmbeddedSample(vectors=rng.normal(size=(4, 1)))
     bw = Bandwidth(0.8)
     total1, _ = quad(lambda t: kde_eval(sample1, bw, t), -np.inf, np.inf)
 
-    sample2 = EmbeddedSample(vectors=rng.normal(size=(4, 2)), d=2, l=1)
+    sample2 = EmbeddedSample(vectors=rng.normal(size=(4, 2)))
     h = 0.8
     nodes, weights = np.polynomial.legendre.leggauss(160)
     lo = sample2.vectors.min(axis=0) - 8 * h
@@ -154,7 +154,7 @@ def test_criterion_6_ucv_correctness():
         N = int(rng.integers(4, 14))
         vectors = rng.normal(size=(N, d))
         h = float(rng.uniform(0.3, 1.4))
-        sample = EmbeddedSample(vectors=vectors, d=d, l=1)
+        sample = EmbeddedSample(vectors=vectors)
         worst = max(worst, abs(ucv_objective(sample, h)
                                - generic_ucv(vectors, h * h * np.eye(d))))
 

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from scipy.stats import norm
 
@@ -46,7 +47,7 @@ def test_log_emissions_match_linear_density():
     model = example_model()
     hist = np.array([0.4, -0.2])
     for x in (-0.5, 0.3, 1.2):
-        logs = log_emissions(x, hist, model)
+        logs = log_emissions(x, model.ar_means(hist), model)
         for m, st in enumerate(model.states):
             assert logs[m] == pytest.approx(math.log(emission_density(x, hist, st)), rel=1e-12)
 
@@ -297,6 +298,21 @@ class TestRunFilters:
         for v in (run.optimal_posterior, run.nonparametric_predictive):
             assert v.shape == (0, 3)
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_series_no_longer_than_p_gives_empty_arrays(self, p):
+        # the shared pass builds a (0, p) lag view and (0, M) emission rows
+        model = random_model(3, p, np.random.default_rng(p))
+        eval_start = warmup_threshold(p, 2) + 1
+        for n_len in range(p + 1):
+            traj = Trajectory(s=np.ones(n_len, dtype=int), x=np.linspace(0.0, 1.0, n_len))
+            for mode in ("optimal", "nonparametric", "both"):
+                run = run_filters(traj, model, tau=2, l=1, eval_start=eval_start, mode=mode)
+                assert run.qp_fallback.shape == (0,)
+                for method in ("optimal", "nonparametric"):
+                    if mode in (method, "both"):
+                        assert getattr(run, f"{method}_predictive").shape == (0, 3)
+                        assert getattr(run, f"{method}_posterior").shape == (0, 3)
+
     def test_eval_start_must_clear_warmup(self):
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
@@ -362,7 +378,7 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
 
     # both filters' loops write every step through _bayes_update; the last
     # step is the one with the emission row of x_120
-    last_log_f = log_emissions(traj.x[-1], traj.x[-3:-1][::-1], model)
+    last_log_f = log_emissions(traj.x[-1], model.ar_means(traj.x[-3:-1][::-1]), model)
     update = filters._bayes_update
 
     def poisoned_update(log_f, predictive, out):
@@ -387,3 +403,61 @@ def test_estimator_output_tie_breaks_to_smaller_index(tmp_path):
     emit_trace(traj, run, tmp_path / "trace.csv")
     for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]:
         assert line.split(",")[3:7] == ["1", "1", "1", "1"]
+
+
+def test_filter_run_needs_a_method():
+    with pytest.raises(ValueError, match="at least one method"):
+        FilterRun(3, np.zeros(0, dtype=bool))
+
+
+def test_wrong_history_length_raises_through_per_step_functions():
+    model = example_model()
+    for history in (np.array([0.1]), np.array([0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError, match="history must hold"):
+            posterior_update(np.full(3, 1 / 3), 0.5, history, model)
+        with pytest.raises(ValueError, match="history must hold"):
+            optimal_step(model.stationary, 0.5, history, model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(M=hst.integers(1, 4), p=hst.integers(1, 3), tau=hst.integers(1, 5), l=hst.integers(1, 3),
+       seed=hst.integers(0, 2**32 - 1), extra=hst.integers(-2, 25),
+       h=hst.none() | hst.floats(0.05, 1.0))
+def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau, l, seed,
+                                                                      extra, h):
+    # tau stays below 8, where conditional_weights' row sums are sequential
+    model = random_model(M, p, np.random.default_rng(seed))
+    eval_start = warmup_threshold(p, tau) + 1
+    traj = simulate(model, eval_start + extra, burn_in=20, rng_seed=seed)
+    x = traj.x
+    bandwidth = None if h is None else Bandwidth(h)
+    run = partial(run_filters, traj, model, tau=tau, l=l, eval_start=eval_start,
+                  bandwidth=bandwidth)
+    both, optimal, nonparametric = run(mode="both"), run(mode="optimal"), run(mode="nonparametric")
+
+    posterior = model.stationary
+    steps = {"optimal_predictive": [], "optimal_posterior": [],
+             "nonparametric_predictive": [], "nonparametric_posterior": []}
+    for n in range(p + 1, len(x) + 1):
+        predictive, posterior = optimal_step(posterior, x[n - 1], x[n - 1 - p:n - 1][::-1], model)
+        if n >= eval_start:
+            steps["optimal_predictive"].append(predictive)
+            steps["optimal_posterior"].append(posterior)
+    fallback = []
+    if h is None:
+        h = ucv_bandwidth(embed(x, d=tau + 1, l=l)).h
+    for n in range(eval_start, len(x) + 1):
+        predictive, posterior, qp_fallback = nonparametric_step(x, n, model, tau, l, h)
+        steps["nonparametric_predictive"].append(predictive)
+        steps["nonparametric_posterior"].append(posterior)
+        fallback.append(qp_fallback)
+
+    assert np.array_equal(both.qp_fallback, nonparametric.qp_fallback)
+    assert np.array_equal(both.qp_fallback, np.array(fallback, dtype=bool))
+    for name, rows in steps.items():
+        got = getattr(both, name)
+        single = optimal if name.startswith("optimal") else nonparametric
+        assert np.array_equal(got, getattr(single, name))
+        assert np.array_equal(got, np.array(rows).reshape(-1, M))
+        assert got.shape == (max(len(x) + 1 - eval_start, 0), M)
+        assert np.all(got >= 0.0) and np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-10)

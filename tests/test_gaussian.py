@@ -22,7 +22,7 @@ def one_state(mu, a, b):
 
 def emission_density(x, history, model):
     """Linear-scale emission density of a one-state model."""
-    return math.exp(log_emissions(x, np.asarray(history, dtype=float), model)[0])
+    return math.exp(log_emissions(x, model.ar_means(np.asarray(history, dtype=float)), model)[0])
 
 
 def test_standard_normal_mode():
@@ -47,10 +47,10 @@ def test_density_integrates_to_one(mu, var):
 
 def test_log_pdf_matches_pdf_and_survives_tails():
     model = one_state(0.3, [0.0], 0.2)
-    got = log_emissions(1.0, np.array([0.0]), model)[0]
+    got = log_emissions(1.0, model.ar_means(np.array([0.0])), model)[0]
     assert got == pytest.approx(norm.logpdf(1.0, loc=0.3, scale=0.2), rel=1e-13)
     # far tail: linear-scale pdf underflows, the log form stays finite
-    assert np.isfinite(log_emissions(500.0, np.array([0.0]), model)[0])
+    assert np.isfinite(log_emissions(500.0, model.ar_means(np.array([0.0])), model)[0])
     assert norm.pdf(500.0, loc=0.3, scale=0.2) == 0.0
 
 
@@ -102,10 +102,10 @@ def test_emission_ar2_example_state():
 
 def test_emission_rejects_wrong_history_length():
     model = one_state(0.0, [0.1, 0.2], 1.0)
-    with pytest.raises(ValueError):
-        log_emissions(0.0, np.array([1.0]), model)
-    with pytest.raises(ValueError):
-        log_emissions(0.0, np.array([1.0, 2.0, 3.0]), model)
+    with pytest.raises(ValueError, match="history must hold"):
+        log_emissions(0.0, model.ar_means(np.array([1.0])), model)
+    with pytest.raises(ValueError, match="history must hold"):
+        log_emissions(0.0, model.ar_means(np.array([1.0, 2.0, 3.0])), model)
 
 
 def test_emission_strictly_positive():

@@ -86,13 +86,13 @@ class TestEmbed:
 
 class TestKdeEval:
     def test_single_kernel_at_center(self):
-        sample = EmbeddedSample(vectors=np.array([[0.0]]), d=1, l=1)
+        sample = EmbeddedSample(vectors=np.array([[0.0]]))
         got = kde_eval(sample, Bandwidth(1.0), 0.0)
         assert got == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_symmetry_under_negation(self):
-        sample = EmbeddedSample(vectors=np.array([[-1.3], [1.3]]), d=1, l=1)
-        flipped = EmbeddedSample(vectors=-sample.vectors, d=1, l=1)
+        sample = EmbeddedSample(vectors=np.array([[-1.3], [1.3]]))
+        flipped = EmbeddedSample(vectors=-sample.vectors)
         bw = Bandwidth(0.8)
         assert kde_eval(sample, bw, 0.0) == pytest.approx(kde_eval(flipped, bw, 0.0), rel=1e-14)
         assert kde_eval(sample, bw, 0.4) == pytest.approx(kde_eval(flipped, bw, -0.4), rel=1e-14)
@@ -107,14 +107,14 @@ class TestKdeEval:
         assert max(errs) < 0.05
 
     def test_integrates_to_one_1d(self):
-        sample = EmbeddedSample(vectors=np.array([[-0.7], [0.2], [2.5]]), d=1, l=1)
+        sample = EmbeddedSample(vectors=np.array([[-0.7], [0.2], [2.5]]))
         bw = Bandwidth(0.6)
         total, _ = quad(lambda t: kde_eval(sample, bw, t), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_integrates_to_one_2d(self):
         rng = np.random.default_rng(3)
-        sample = EmbeddedSample(vectors=rng.normal(size=(5, 2)), d=2, l=1)
+        sample = EmbeddedSample(vectors=rng.normal(size=(5, 2)))
         h = 0.7
         bw = Bandwidth(h)
         pts = sample.vectors
@@ -137,7 +137,7 @@ class TestKdeEval:
 class TestUcvObjective:
     def test_two_point_case_matches_generic_form(self):
         for c in (0.5, 1.0, 2.3):
-            sample = EmbeddedSample(vectors=np.array([[0.0], [c]]), d=1, l=1)
+            sample = EmbeddedSample(vectors=np.array([[0.0], [c]]))
             got = ucv_objective(sample, 1.0)
             want = generic_ucv(sample.vectors, np.eye(1))
             assert got == pytest.approx(want, abs=1e-12)
@@ -149,7 +149,7 @@ class TestUcvObjective:
             N = rng.integers(4, 12)
             vectors = rng.normal(size=(N, d))
             h = rng.uniform(0.3, 1.5)
-            sample = EmbeddedSample(vectors=vectors, d=d, l=1)
+            sample = EmbeddedSample(vectors=vectors)
             got = ucv_objective(sample, h)
             want = generic_ucv(vectors, h * h * np.eye(d))
             assert got == pytest.approx(want, abs=1e-12)
@@ -157,7 +157,7 @@ class TestUcvObjective:
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         sample = embed(rng.standard_normal(80), d=2, l=1)
-        shifted = EmbeddedSample(vectors=sample.vectors + 37.5, d=2, l=1)
+        shifted = EmbeddedSample(vectors=sample.vectors + 37.5)
         for h in (0.2, 0.7):
             assert ucv_objective(sample, h) == pytest.approx(
                 ucv_objective(shifted, h), rel=1e-9)
@@ -172,7 +172,7 @@ class TestUcvObjective:
         assert 0 < k < len(grid) - 1
 
     def test_requires_two_vectors(self):
-        sample = EmbeddedSample(vectors=np.array([[0.0]]), d=1, l=1)
+        sample = EmbeddedSample(vectors=np.array([[0.0]]))
         with pytest.raises(ValueError):
             ucv_objective(sample, 1.0)
 
@@ -196,26 +196,26 @@ class TestOversmoothedBandwidth:
     def test_reference_value_1d(self):
         # 100 points, sample std exactly 1 -> (4/300)^(1/5)
         pts = np.tile([1.0, -1.0], 50) * math.sqrt(0.99)
-        sample = EmbeddedSample(vectors=pts[:, None], d=1, l=1)
+        sample = EmbeddedSample(vectors=pts[:, None])
         assert oversmoothed_bandwidth(sample) == pytest.approx(0.42168460634274996, rel=1e-12)
 
     def test_reference_value_2d(self):
         # 50 points with per-coordinate sample stds (1, 2) -> (4/200)^(1/6) * 2
         base = np.tile([1.0, -1.0], 25) * math.sqrt(0.98)
         vectors = np.column_stack([base, 2.0 * base])
-        sample = EmbeddedSample(vectors=vectors, d=2, l=1)
+        sample = EmbeddedSample(vectors=vectors)
         assert oversmoothed_bandwidth(sample) == pytest.approx(1.0420014619173827, rel=1e-12)
 
     def test_scales_homogeneously(self):
         rng = np.random.default_rng(9)
         vectors = rng.normal(size=(40, 2))
-        sample = EmbeddedSample(vectors=vectors, d=2, l=1)
-        scaled = EmbeddedSample(vectors=3.5 * vectors, d=2, l=1)
+        sample = EmbeddedSample(vectors=vectors)
+        scaled = EmbeddedSample(vectors=3.5 * vectors)
         assert oversmoothed_bandwidth(scaled) == pytest.approx(
             3.5 * oversmoothed_bandwidth(sample), rel=1e-12)
 
     def test_constant_sample_rejected(self):
-        sample = EmbeddedSample(vectors=np.full((10, 1), 2.0), d=1, l=1)
+        sample = EmbeddedSample(vectors=np.full((10, 1), 2.0))
         with pytest.raises(ValueError):
             oversmoothed_bandwidth(sample)
 
@@ -255,7 +255,7 @@ class TestUcvBandwidth:
     def test_translation_leaves_selection_unchanged(self):
         rng = np.random.default_rng(13)
         sample = embed(rng.standard_normal(120), d=2, l=1)
-        shifted = EmbeddedSample(vectors=sample.vectors + 11.0, d=2, l=1)
+        shifted = EmbeddedSample(vectors=sample.vectors + 11.0)
         h1 = ucv_bandwidth(sample).h
         h2 = ucv_bandwidth(shifted).h
         assert h1 == pytest.approx(h2, rel=1e-9)
