@@ -115,8 +115,7 @@ def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
 def _mixture_coefficients(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
                           tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`emission_mixture_problem` given step n's (M,) AR means."""
-    b2 = model.b2
-    M = model.M
+    b2, M = model.b2, model.M
     m, v = means.tolist(), b2.tolist()
     C = np.empty((M, M))
     for i in range(M):
@@ -125,11 +124,14 @@ def _mixture_coefficients(x: np.ndarray, n: int, means: np.ndarray, model: Switc
 
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
-    var = h * h + b2  # kernel variance + emission variance, per state
-    kernels = np.exp(-(heads[:, None] - means[None, :]) ** 2 / (2.0 * var)) \
-        / np.sqrt(2.0 * np.pi * var)
-    c = beta @ kernels
-    return C, c
+    var = (h * h + b2)[:, None]  # kernel variance + emission variance, per state
+    # (M, N) kernel rows built in place; beta @ reads them as C-contiguous (N, M).
+    kernels = np.subtract(heads, means[:, None])
+    kernels **= 2
+    kernels /= -2.0 * var
+    np.exp(kernels, out=kernels)
+    kernels /= np.sqrt(2.0 * np.pi * var)
+    return C, beta @ np.ascontiguousarray(kernels.T)
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 #: Points of the log-spaced grid that brackets the UCV minimum.
 _GRID_POINTS = 32
 #: Iteration cap of the golden-section refinement.
 _MAX_ITER = 200
+#: Rows per block of EmbeddedSample.sorted_sq_dists.
+_DIST_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -34,8 +35,8 @@ class EmbeddedSample:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2:
-            raise ValueError(f"vectors must have shape (N, d), got {self.vectors.shape}")
+        if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
+            raise ValueError(f"vectors must have shape (N, d >= 1), got {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors must be finite")
 
@@ -49,8 +50,22 @@ class EmbeddedSample:
 
     @cached_property
     def sorted_sq_dists(self) -> np.ndarray:
-        """Ascending condensed pairwise squared distances (i < j), computed once."""
-        return np.sort(pdist(self.vectors, "sqeuclidean"))
+        """Ascending condensed pairwise squared distances (i < j), computed once.
+
+        Summed one coordinate at a time, as scipy's sqeuclidean ``pdist`` does,
+        so every distance has its bits; blocks of rows bound the temporaries.
+        """
+        v, N = self.vectors, self.N
+        out, k = np.empty(N * (N - 1) // 2), 0
+        for a in range(0, N - 1, _DIST_BLOCK):
+            block = np.square(v[a:a + _DIST_BLOCK, 0, None] - v[a + 1:, 0])
+            for j in range(1, self.d):
+                block += np.square(v[a:a + _DIST_BLOCK, j, None] - v[a + 1:, j])
+            for r, row in enumerate(block):  # row a + r keeps its pairs with rows > a + r
+                out[k:k + row.size - r] = row[r:]
+                k += row.size - r
+        out.sort()
+        return out
 
 
 @dataclass(frozen=True)
@@ -81,8 +96,13 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
     return EmbeddedSample(vectors=x[idx])
 
 
-def _ucv_from_sorted_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
-    """UCV score from the ascending condensed pairwise squared distances (i < j)."""
+def ucv_objective(sample: EmbeddedSample, h: float) -> float:
+    """Unbiased cross-validation score of the scalar bandwidth h."""
+    if sample.N < 2:
+        raise ValueError("UCV needs at least two embedded vectors")
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h}")
+    N, d, sq_dists = sample.N, sample.d, sample.sorted_sq_dists
     four_h2 = 4.0 * h * h
     # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
     e = np.divide(sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)], -four_h2)
@@ -91,15 +111,6 @@ def _ucv_from_sorted_sq_dists(sq_dists: np.ndarray, N: int, d: int, h: float) ->
     pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * float(np.square(e, out=e).sum()))
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
-
-
-def ucv_objective(sample: EmbeddedSample, h: float) -> float:
-    """Unbiased cross-validation score of the scalar bandwidth h."""
-    if sample.N < 2:
-        raise ValueError("UCV needs at least two embedded vectors")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    return _ucv_from_sorted_sq_dists(sample.sorted_sq_dists, sample.N, sample.d, h)
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:

@@ -17,8 +17,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_MAX_ITER = 10_000  # power-iteration budget of stationary_distribution
@@ -166,9 +164,9 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
     """Stationary distribution pi with pi @ P = pi.
 
     Power iteration on the lazy chain (P + I)/2, which shares the fixed point
-    but cannot oscillate on periodic chains.  Reducible chains (no unique
-    stationary distribution) are rejected up front by a strong-connectivity
-    check on the support graph.
+    but cannot oscillate on periodic chains.  A reducible chain (no unique
+    stationary distribution) is rejected up front: its boolean reachability
+    matrix, squared M.bit_length() times, is not all True.
 
     Raises
     ------
@@ -176,9 +174,10 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
         If the chain is reducible or the iteration fails to converge.
     """
     P = t.p
-    n_comp, _ = connected_components(csr_matrix(P > 0.0), directed=True,
-                                     connection="strong")
-    if n_comp != 1:
+    reach = (P > 0.0) | np.eye(t.M, dtype=bool)
+    for _ in range(t.M.bit_length()):
+        reach = reach @ reach
+    if not reach.all():
         raise ValueError("chain is reducible: stationary distribution is not unique")
     Q = 0.5 * (P + np.eye(t.M))
     pi = np.full(t.M, 1.0 / t.M)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,14 @@ def test_bad_mode_flag_is_usage_error(config_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", config_path, "--mode", "wrong"])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh ``import hmmar`` loads no scipy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import hmmar, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

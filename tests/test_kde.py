@@ -83,6 +83,11 @@ class TestEmbed:
         with pytest.raises(ValueError, match="finite"):
             embed(np.array([1.0, np.nan, 2.0, 3.0]), d=2, l=1)
 
+    def test_vectors_without_coordinates_rejected(self):
+        # the distance loop reads coordinate 0; a d = 0 sample has no kernel
+        with pytest.raises(ValueError, match="d >= 1"):
+            EmbeddedSample(np.ones((3, 0)))
+
 
 class TestKdeEval:
     def test_single_kernel_at_center(self):
@@ -133,6 +138,31 @@ class TestKdeEval:
             total += w1 * row
         assert total == pytest.approx(1.0, abs=1e-6)
 
+
+class TestSortedSqDists:
+    """The numpy distance loop has the bits of scipy's ``pdist``, then sorted."""
+
+    @staticmethod
+    def assert_matches_pdist(vectors):
+        got = EmbeddedSample(vectors).sorted_sq_dists
+        assert np.array_equal(got, np.sort(pdist(vectors, "sqeuclidean")))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    @pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 129, 300])
+    def test_normal_data(self, N, d):
+        self.assert_matches_pdist(np.random.default_rng(1000 * N + d).standard_normal((N, d)))
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_delay_embeddings(self, d, l):
+        x = np.random.default_rng(10 * d + l).standard_normal(400)
+        self.assert_matches_pdist(embed(x, d=d, l=l).vectors)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_heavy_tailed_data_across_scales(self, d):
+        rng = np.random.default_rng(d)
+        scales = 10.0 ** rng.integers(-6, 6, size=(130, 1))
+        self.assert_matches_pdist(rng.standard_cauchy((130, d)) * scales)
 
 class TestUcvObjective:
     def test_two_point_case_matches_generic_form(self):

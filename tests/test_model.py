@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, model_from_dict, simulate,
@@ -126,6 +129,38 @@ class TestStationaryDistribution:
         for _ in range(2):  # a failure is not cached
             with pytest.raises(ValueError, match="reducible"):
                 simulate(model, 10)
+
+    @staticmethod
+    def support_patterns(M):
+        """Every M x M support with nonempty rows for M <= 3, else 400 seeded random ones."""
+        if M <= 3:
+            for bits in itertools.product([False, True], repeat=M * M):
+                support = np.array(bits).reshape(M, M)
+                if support.any(axis=1).all():
+                    yield support
+            return
+        rng = np.random.default_rng(M)
+        for density in np.linspace(0.05, 0.6, 400):
+            support = rng.random((M, M)) < density
+            support[np.arange(M), rng.integers(0, M, size=M)] = True
+            yield support
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_reducible_exactly_when_scipy_finds_several_components(self, M):
+        verdicts = []
+        for support in self.support_patterns(M):
+            P = support / support.sum(axis=1, keepdims=True)
+            n_comp, _ = connected_components(csr_matrix(support), directed=True,
+                                             connection="strong")
+            if n_comp > 1:
+                with pytest.raises(ValueError, match="reducible"):
+                    stationary_distribution(TransitionMatrix(P))
+            else:
+                pi = stationary_distribution(TransitionMatrix(P))
+                np.testing.assert_allclose(pi @ P, pi, atol=1e-10)
+            verdicts.append(n_comp > 1)
+        assert len(verdicts) == ((2 ** M - 1) ** M if M <= 3 else 400)
+        assert set(verdicts) == ({False} if M == 1 else {False, True})
 
 
 class TestSimulate:
