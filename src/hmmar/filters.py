@@ -16,7 +16,8 @@ posterior P(S_n = . | x_1^n) second, so prediction never sees x_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations_with_replacement
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,23 +54,28 @@ def log_emissions(x_n: float | np.ndarray, means: np.ndarray,
 
 
 def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Predictive vector posterior @ trans, clipped at 0 and renormalized, into ``out``."""
-    np.matmul(posterior, trans, out=out)
+    """Predictive vector posterior @ trans, clipped at 0 and renormalized, into ``out``.
+
+    Rows of a leading repeat axis are stacked (1, M) @ (M, M) products, which
+    round like the 1-D one; a 2-D (R, M) @ (M, M) would not.
+    """
+    np.matmul(posterior[..., None, :], trans, out=out[..., None, :])
     np.maximum(out, 0.0, out=out)
-    out /= np.add.reduce(out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
 def _bayes_update(log_f: np.ndarray, predictive: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The update of :func:`posterior_update` from the log emission row, into ``out``.
 
-    A zero u_m takes log 0 = -inf; callers silence that divide warning.
+    Rows of a leading repeat axis are updated independently.  A zero u_m
+    takes log 0 = -inf; callers silence that divide warning.
     """
     np.log(predictive, out=out)
     out += log_f
-    out -= np.maximum.reduce(out)
+    out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= np.add.reduce(out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
@@ -108,30 +114,35 @@ def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
     """
     x = np.asarray(x, dtype=float)
     p = model.ar_order
-    return _mixture_coefficients(x, n, model.ar_means(x[n - 1 - p:n - 1][::-1]), model,
-                                 tau, l, h)
+    means = model.ar_means(x[n - 1 - p:n - 1][::-1])
+    return (_emission_overlaps(means.tolist(), model.b2.tolist()),
+            _kernel_column(x, n, means, model, tau, l, h))
 
 
-def _mixture_coefficients(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
-                          tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`emission_mixture_problem` given step n's (M,) AR means."""
-    b2, M = model.b2, model.M
-    m, v = means.tolist(), b2.tolist()
-    C = np.empty((M, M))
-    for i in range(M):
-        for j in range(i, M):
-            C[i, j] = C[j, i] = product_integral(m[i], v[i], m[j], v[j])
+def _emission_overlaps(m: list, v: list) -> np.ndarray:
+    """C of :func:`emission_mixture_problem` from the states' AR means and variances."""
+    C = np.empty((len(m), len(m)))
+    for i, j in combinations_with_replacement(range(len(m)), 2):
+        C[i, j] = C[j, i] = product_integral(m[i], v[i], m[j], v[j])
+    return C
 
+
+def _kernel_column(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
+                   tau: int, l: int, h: float | np.ndarray) -> np.ndarray:
+    """c of :func:`emission_mixture_problem` from step n's (M,) AR means.
+
+    A leading repeat axis on ``x``, ``means`` and ``h`` (R, 1) runs a block.
+    """
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
-    var = (h * h + b2)[:, None]  # kernel variance + emission variance, per state
-    # (M, N) kernel rows built in place; beta @ reads them as C-contiguous (N, M).
-    kernels = np.subtract(heads, means[:, None])
+    var = (h * h + model.b2)[..., None, :]  # kernel variance + emission variance, per state
+    # (..., N, M) kernels built in place; beta @ reads each C-contiguous (N, M) block.
+    kernels = np.subtract(heads[..., None], means[..., None, :])
     kernels **= 2
     kernels /= -2.0 * var
     np.exp(kernels, out=kernels)
     kernels /= np.sqrt(2.0 * np.pi * var)
-    return C, beta @ np.ascontiguousarray(kernels.T)
+    return np.matmul(beta[..., None, :], kernels)[..., 0, :]
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
@@ -198,49 +209,58 @@ class FilterRun:
                                  f"is not a probability vector: {v[k]!r}")
 
 
-def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
+def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau: int = 2,
                 l: int = 1, *, eval_start: int, bandwidth: Optional[Bandwidth] = None,
-                mode: str = "both") -> FilterRun:
-    """Run the filters ``mode`` selects (one of :data:`MODES`), recording n >= eval_start.
+                mode: str = "both") -> list[FilterRun]:
+    """Run the filters ``mode`` selects (one of :data:`MODES`) on a block of trajectories.
 
-    A filter that did not run leaves its arrays None.  Both filters read one
-    emission pass over steps n = p + 1 .. len(x): the lag view of the series,
-    its (steps, M) AR means and log-emission matrix, one call each.  The
+    Returns one :class:`FilterRun` per trajectory, recording n >= eval_start;
+    a filter that did not run leaves its arrays None.  The trajectories share
+    one length and run in lockstep: each step is one set of numpy calls on
+    the block's (R, M) rows, bit for bit as R blocks of one.  Both filters
+    read one emission pass over steps n = p + 1 .. len(x): each series' AR
+    means from its lag view, and the (steps, R, M) log-emission array.  The
     optimal filter starts from the stationary distribution at n = p + 1 and
     recurses over every row.  The nonparametric filter carries no state
-    across n: each recorded step solves its own simplex QP from its row of
-    AR means, bit for bit as :func:`nonparametric_step` does, and applies
-    the Bayes update to its log-emission row.  If ``bandwidth`` is None it
-    is selected once by UCV on the delay embedding (dimension tau + 1) of
-    the whole series; pass an explicit value to pin it, e.g. when checking
-    causality.  ``eval_start`` must exceed :func:`warmup_threshold` if the
-    nonparametric filter runs, else the AR order.  Every row is checked to
-    be a probability vector before the run is returned.
+    across n: each recorded step builds the block's kernel columns, solves
+    each repeat's simplex QP as :func:`nonparametric_step` does and applies
+    the Bayes update.  If ``bandwidth`` is None it is selected per trajectory
+    by UCV on the delay embedding (dimension tau + 1) of its whole series;
+    pass one to pin it, e.g. when checking causality.  ``eval_start`` must
+    exceed :func:`warmup_threshold` if the nonparametric filter runs, else
+    the AR order.  Every row is checked to be a probability vector.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    x = trajectory.x
-    n_len = x.shape[0]
+    lengths = sorted({len(t) for t in trajectories})
+    if len(lengths) != 1:
+        raise ValueError(f"need one or more trajectories of one length, got lengths {lengths}")
     p = model.ar_order
     thresh = warmup_threshold(p, tau)
     if mode != "optimal" and eval_start <= thresh:
         raise ValueError(f"eval_start must exceed the warm-up threshold {thresh}")
     if eval_start <= p:
         raise ValueError(f"eval_start must exceed the AR order {p}")
+    R, n_len, M = len(trajectories), lengths[0], model.M
     T = max(n_len + 1 - eval_start, 0)
-    M = model.M
+    h = None if bandwidth is None else bandwidth.h
+    if mode != "optimal" and T and h is None:
+        # before the block's arrays exist, so the two memory peaks do not add
+        h = np.array([[ucv_bandwidth(embed(t.x, d=tau + 1, l=l)).h] for t in trajectories])
+    x = np.stack([t.x for t in trajectories])
     opt_pred = opt_post = npar_pred = npar_post = None
-    fallback = np.zeros(T, dtype=bool)
-    # Row i holds the history x[p + i - 1], ..., x[i] of step n = p + 1 + i.
-    lags = sliding_window_view(x[:-1], p)[:, ::-1] if n_len > p else np.empty((0, p))
-    means = model.ar_means(lags)
-    log_f = log_emissions(x[p:], means, model)
+    fallback = np.zeros((R, T), dtype=bool)
+    # Row i of a lag view holds the history x[p + i - 1], ..., x[i] of step
+    # n = p + 1 + i; ar_means gets each series' own strided view.
+    means = np.stack([model.ar_means(sliding_window_view(t.x[:-1], p)[:, ::-1] if n_len > p
+                                     else np.empty((0, p))) for t in trajectories], axis=1)
+    log_f = log_emissions(x[:, p:].T, means, model)  # (steps, R, M), time-major
     k0 = eval_start - p - 1  # row of step n = eval_start
 
     if mode != "nonparametric":
         opt_pred, opt_post = np.empty_like(log_f), np.empty_like(log_f)
         trans = model.transition.p
-        posterior = model.stationary
+        posterior = np.broadcast_to(model.stationary, (R, M))
         with np.errstate(divide="ignore"):
             for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
                 posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
@@ -248,15 +268,18 @@ def run_filters(trajectory: Trajectory, model: SwitchingArModel, tau: int = 2,
 
     if mode != "optimal":
         # The predictive stays uniform for M = 1, as in nonparametric_step.
-        npar_pred, npar_post = np.full((T, M), 1.0 / M), np.empty((T, M))
-        if T and bandwidth is None:
-            bandwidth = ucv_bandwidth(embed(x, d=tau + 1, l=l))
+        npar_pred, npar_post = np.full((T, R, M), 1.0 / M), np.empty((T, R, M))
+        b2 = model.b2.tolist()
         with np.errstate(divide="ignore"):
             for k in range(T):
+                means_n = means[k0 + k]
                 if M > 1:
-                    sol = solve_kkt(*_mixture_coefficients(
-                        x, eval_start + k, means[k0 + k], model, tau, l, bandwidth.h))
-                    npar_pred[k], fallback[k] = sol.u, sol.fallback
+                    c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
+                    for r in range(R):
+                        sol = solve_kkt(_emission_overlaps(means_n[r].tolist(), b2), c[r])
+                        npar_pred[k, r], fallback[r, k] = sol.u, sol.fallback
                 _bayes_update(log_f[k0 + k], npar_pred[k], npar_post[k])
 
-    return FilterRun(eval_start, fallback, opt_pred, opt_post, npar_pred, npar_post)
+    arrays = (opt_pred, opt_post, npar_pred, npar_post)
+    return [FilterRun(eval_start, fallback[r], *(None if v is None else v[:, r] for v in arrays))
+            for r in range(R)]

@@ -7,9 +7,10 @@ filtering and one-step prediction.  Results are aggregated as mean and
 standard error across repeats and written to ``summary.csv``; per-repeat
 ``trace_<r>.csv`` files carry the plot-ready per-step data.
 
-Repeats are independent; set HMMAR_THREADS to run them in parallel
-(0 = one worker per CPU).  Aggregation order is fixed by repeat index, so
-output files are byte-identical regardless of parallelism.
+Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS``
+observations; set HMMAR_THREADS to run blocks in parallel (0 = one worker
+per CPU).  Aggregation order is fixed by repeat index, so output files are
+byte-identical regardless of blocking and parallelism.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from importlib import resources
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +35,9 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
          ("optimal", "prediction", "optimal_predictive"),
          ("nonparametric", "filtering", "nonparametric_posterior"),
          ("nonparametric", "prediction", "nonparametric_predictive"))
+
+#: Observations per lockstep block (2 repeats at least); more outgrows UCV's memory peak.
+_BLOCK_OBS = 1 << 11
 
 #: Lowest allowed value of each integer field of ExperimentConfig.
 _INT_FLOORS = {"n_total": 1, "tau": 1, "l": 1, "repeats": 1, "seed": 0, "burn_in": 0}
@@ -164,24 +168,29 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _run_one(task) -> tuple[dict, Optional[FilterRun]]:
-    """Worker for a single repeat; top-level so process pools can pickle it.
+def _run_block(task) -> list[tuple[dict, Optional[FilterRun]]]:
+    """Worker for a block of repeats, filtered in lockstep; top-level so pools can pickle it.
 
-    Returns ``({f"{method}_{task}": error, ..., "qp_fallback": steps}, run if kept)``.
+    Returns ``({f"{method}_{task}": error, ..., "qp_fallback": steps}, run if kept)``
+    of each repeat, in order.
     """
-    config, r, trace_dir, keep = task
-    traj = simulate(config.model, config.n_total, config.burn_in, config.seed + r)
+    config, repeats, trace_dir, keep = task
     lo, hi = config.eval_window
-    clipped = Trajectory(s=traj.s[:hi], x=traj.x[:hi])
-    run = run_filters(clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
-                      mode=config.mode)
-    truth = clipped.s[lo - 1:]
-    record = {f"{method}_{task}": _error_fraction(getattr(run, field), truth)
-              for method, task, field in _ROWS if getattr(run, field) is not None}
-    record["qp_fallback"] = int(run.qp_fallback.sum())
-    if trace_dir is not None:
-        emit_trace(clipped, run, Path(trace_dir) / f"trace_{r}.csv")
-    return record, (run if keep else None)
+    simulated = (simulate(config.model, config.n_total, config.burn_in, config.seed + r)
+                 for r in repeats)
+    clipped = [Trajectory(s=t.s[:hi], x=t.x[:hi]) for t in simulated]
+    runs = run_filters(clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
+                       mode=config.mode)
+    results = []
+    for r, traj, run in zip(repeats, clipped, runs):
+        truth = traj.s[lo - 1:]
+        record = {f"{method}_{task}": _error_fraction(getattr(run, field), truth)
+                  for method, task, field in _ROWS if getattr(run, field) is not None}
+        record["qp_fallback"] = int(run.qp_fallback.sum())
+        if trace_dir is not None:
+            emit_trace(traj, run, Path(trace_dir) / f"trace_{r}.csv")
+        results.append((record, run if keep else None))
+    return results
 
 
 def _error_fraction(probs: np.ndarray, truth: np.ndarray) -> float:
@@ -220,13 +229,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
         out_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = str(out_dir) if trace else None
 
-    tasks = [(config, r, trace_dir, keep_records) for r in range(config.repeats)]
     workers = _worker_count(config.repeats)
+    # repeats per block: the observation budget's share, but a block for every worker
+    size = min(max(2, _BLOCK_OBS // config.eval_window[1]), -(-config.repeats // workers))
+    tasks = [(config, range(a, min(a + size, config.repeats)), trace_dir, keep_records)
+             for a in range(0, config.repeats, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks))
+            blocks = list(pool.map(_run_block, tasks))
     else:
-        results = [_run_one(t) for t in tasks]
+        blocks = [_run_block(t) for t in tasks]
+    results = [result for block in blocks for result in block]
 
     per_repeat = {key: np.array([record[key] for record, _ in results])
                   for key in results[0][0]}
@@ -288,10 +301,12 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
         # one repeat() per empty column: zip() would drain a shared iterator n_states times
         columns += ([repeat("", T) for _ in range(n_states)] if post is None
                     else [map(float.__repr__, col) for col in post.T])
-    lines = [",".join(header), *map(",".join, zip(*columns)), ""]  # "" ends the last line
+    rows = map(",".join, zip(*columns))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines))
+            fh.write(",".join(header) + "\n")
+            while chunk := list(islice(rows, 1024)):  # rows per write
+                fh.write("\n".join(chunk) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace file {path}: {exc}") from exc
 

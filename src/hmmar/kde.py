@@ -164,7 +164,8 @@ def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     return Bandwidth(h=min(h, h_plus))
 
 
-def conditional_weights(x: np.ndarray, n: int, tau: int, l: int, h: float) -> np.ndarray:
+def conditional_weights(x: np.ndarray, n: int, tau: int, l: int,
+                        h: float | np.ndarray) -> np.ndarray:
     """Mixture weights of the estimated conditional density of x_n.
 
     Candidate i contributes weight proportional to the kernel similarity
@@ -174,44 +175,44 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int, h: float) -> np
     exponentiation, so arbitrarily large distances cannot produce NaN/Inf.
 
     Returns the length-N probability vector beta (N = 1 + floor((n-1-d)/l)
-    with d = tau + 1).
+    with d = tau + 1), or a block's (R, N) rows, each bit-equal to its own
+    call, when ``x`` and ``h`` (R, 1) carry a leading repeat axis.
     """
     if tau < 1 or l < 1:
         raise ValueError("tau and l must be >= 1")
-    if not h > 0.0:
+    if not np.all(np.greater(h, 0.0)):
         raise ValueError(f"h must be positive, got {h}")
     d = tau + 1
     if n - 1 < d:
         raise ValueError(f"need n - 1 >= tau + 1 = {d} observations before index n = {n}")
     x = np.asarray(x, dtype=float)
-    if x.shape[0] < n - 1:
-        raise ValueError(f"series has {x.shape[0]} values; index n = {n} needs at least {n - 1}")
-    xs = x[:n - 1]
-    N = 1 + (xs.shape[0] - d) // l
+    if x.shape[-1] < n - 1:
+        raise ValueError(f"series has {x.shape[-1]} values; index n = {n} needs at least {n - 1}")
+    xs = x[..., :n - 1]
+    N = 1 + (n - 1 - d) // l
 
     # Squared distance of window i (x_{il+1}, ..., x_{il+tau}) to the query,
     # summed one coordinate at a time over strided slices of xs.
     span = (N - 1) * l + 1
-    query = xs[n - 1 - tau:n - 1]
-    sq_dist = np.square(xs[:span:l] - query[0])
+    query = xs[..., n - 1 - tau:n - 1]
+    sq_dist = np.square(xs[..., :span:l] - query[..., :1])
     for j in range(1, tau):
-        sq_dist += np.square(xs[j:j + span:l] - query[j])
+        sq_dist += np.square(xs[..., j:j + span:l] - query[..., j:j + 1])
     log_w = -sq_dist / (2.0 * h * h)
-    log_w -= log_w.max()
+    log_w -= log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def embedding_heads(x: np.ndarray, n: int, tau: int, l: int) -> np.ndarray:
     """Final coordinates x_{(i-1)l + tau + 1} of the candidate vectors.
 
     These are the kernel centers paired with :func:`conditional_weights`;
-    same N and ordering.
+    same N, ordering and leading repeat axis.
     """
     d = tau + 1
     if n - 1 < d:
         raise ValueError(f"need n - 1 >= tau + 1 = {d} observations before index n = {n}")
     x = np.asarray(x, dtype=float)
-    xs = x[:n - 1]
-    N = 1 + (xs.shape[0] - d) // l
-    return xs[tau:tau + (N - 1) * l + 1:l]
+    N = 1 + (n - 1 - d) // l
+    return x[..., tau:tau + (N - 1) * l + 1:l]

@@ -12,7 +12,9 @@ fallback covers degenerate C.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -55,7 +57,7 @@ def is_positive_definite(C: np.ndarray) -> bool:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(L.diagonal() ** 2 > 1e-12))
+    return all(d * d > 1e-12 for d in L.diagonal().tolist())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -133,14 +135,16 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
         raise ValueError(f"c must have length {M}, got shape {c.shape}")
     if M < 2:
         raise ValueError(f"need at least 2 states, got M = {M}")
-    if not (np.isfinite(C).all() and np.isfinite(c).all()):
+    rows = C.tolist()
+    flat = [*c.tolist(), *chain.from_iterable(rows)]
+    if not all(map(math.isfinite, flat)):
         raise ValueError("C and c must be finite")
-    asym = np.max(np.abs(C - C.T))
+    asym = max(abs(rows[i][j] - rows[j][i]) for i in range(M) for j in range(i))
     if asym > _SYM_TOL:
         raise ValueError(f"C must be symmetric within {_SYM_TOL:g}; max asymmetry {asym:.3e}")
 
     if is_positive_definite(C):
-        sol = _enumerate_kkt(C, c)
+        sol = _enumerate_kkt(C, c, max(1.0, *map(abs, flat)))
         if sol is not None:
             return sol
     u = _projected_gradient(C, c)
@@ -148,7 +152,7 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
     return SimplexPoint(u=u / u.sum(), lam=None, fallback=True)
 
 
-def _enumerate_kkt(C: np.ndarray, c: np.ndarray) -> Optional[SimplexPoint]:
+def _enumerate_kkt(C: np.ndarray, c: np.ndarray, scale: float) -> Optional[SimplexPoint]:
     M = c.shape[0]
     active, takes_c, floor, base = _active_set_table(M)
     A = base.copy()
@@ -156,21 +160,18 @@ def _enumerate_kkt(C: np.ndarray, c: np.ndarray) -> Optional[SimplexPoint]:
     rhs = np.empty((M + 1, 1))
     rhs[:M, 0] = c
     rhs[M, 0] = 1.0
-    scale = max(1.0, float(np.abs(c).max()), float(np.abs(C).max()))
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         return None
 
     rho = x[:, :, 0]
-    # a large residual marks a nearly singular system solved to garbage
-    resid = np.abs(A @ x - rhs).max(axis=(1, 2))
-    ok = (np.isfinite(rho).all(axis=1) & (resid <= 1e-8 * scale)
-          & (rho[:, :M] >= floor).all(axis=1))
-    k = int(ok.argmax())
-    if not ok[k]:
-        return None
-    u = np.maximum(np.where(active[k], 0.0, rho[k, :M]), 0.0)
-    lam = rho[k].copy()
-    lam[:M][~active[k]] = 0.0
-    return SimplexPoint(u=u / u.sum(), lam=lam, fallback=False)
+    signs_ok = np.isfinite(rho).all(axis=1) & (rho[:, :M] >= floor).all(axis=1)
+    for k in np.flatnonzero(signs_ok).tolist():
+        # a large residual marks a nearly singular system solved to garbage
+        if np.abs(A[k] @ x[k] - rhs).max() <= 1e-8 * scale:
+            u = np.maximum(np.where(active[k], 0.0, rho[k, :M]), 0.0)
+            lam = rho[k].copy()
+            lam[:M][~active[k]] = 0.0
+            return SimplexPoint(u=u / u.sum(), lam=lam, fallback=False)
+    return None

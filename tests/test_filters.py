@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as hst
 
 from scipy.stats import norm
 
-from hmmar.filters import (FilterRun, log_emissions, nonparametric_step, optimal_step,
+from hmmar.filters import (MODES, FilterRun, log_emissions, nonparametric_step, optimal_step,
                            posterior_update, run_filters, warmup_threshold)
 from hmmar.harness import emit_trace
 from hmmar.kde import Bandwidth, embed, ucv_bandwidth
@@ -133,7 +133,7 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
     traj = simulate(model, 300, burn_in=20, rng_seed=M + p)
     x = traj.x
     for eval_start in (p + 1, 50, 300, 301):
-        run = run_filters(traj, model, eval_start=eval_start, mode="optimal")
+        run = run_filters([traj], model, eval_start=eval_start, mode="optimal")[0]
         pred, post = reference_optimal_filter(x, model, eval_start)
         assert run.optimal_predictive.shape == (301 - eval_start, M)
         assert np.array_equal(run.optimal_predictive, pred)
@@ -149,8 +149,8 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
 
 def assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth):
     eval_start = warmup_threshold(model.ar_order, tau) + 1
-    run = run_filters(traj, model, tau=tau, l=l, eval_start=eval_start,
-                      bandwidth=bandwidth, mode="nonparametric")
+    run = run_filters([traj], model, tau=tau, l=l, eval_start=eval_start,
+                      bandwidth=bandwidth, mode="nonparametric")[0]
     h = (bandwidth or ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))).h
     pred, post, fallback = map(np.array, zip(*(
         nonparametric_step(traj.x, n, model, tau, l, h)
@@ -293,7 +293,7 @@ class TestRunFilters:
     def test_empty_window(self):
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
-        run = run_filters(traj, model, tau=2, l=1, eval_start=61)
+        run = run_filters([traj], model, tau=2, l=1, eval_start=61)[0]
         assert run.qp_fallback.shape == (0,)
         for v in (run.optimal_posterior, run.nonparametric_predictive):
             assert v.shape == (0, 3)
@@ -306,7 +306,7 @@ class TestRunFilters:
         for n_len in range(p + 1):
             traj = Trajectory(s=np.ones(n_len, dtype=int), x=np.linspace(0.0, 1.0, n_len))
             for mode in ("optimal", "nonparametric", "both"):
-                run = run_filters(traj, model, tau=2, l=1, eval_start=eval_start, mode=mode)
+                run = run_filters([traj], model, tau=2, l=1, eval_start=eval_start, mode=mode)[0]
                 assert run.qp_fallback.shape == (0,)
                 for method in ("optimal", "nonparametric"):
                     if mode in (method, "both"):
@@ -317,12 +317,12 @@ class TestRunFilters:
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
         with pytest.raises(ValueError):
-            run_filters(traj, model, tau=2, l=1, eval_start=10)
+            run_filters([traj], model, tau=2, l=1, eval_start=10)
 
     def test_well_separated_states_filter_nearly_perfectly(self):
         model = separated_model()
         traj = simulate(model, 10_000, burn_in=100, rng_seed=23)
-        run = run_filters(traj, model, eval_start=2, mode="optimal")
+        run = run_filters([traj], model, eval_start=2, mode="optimal")[0]
         wrong = run.optimal_posterior.argmax(axis=1) + 1 != traj.s[1:]
         assert wrong.mean() < 0.01
 
@@ -332,9 +332,9 @@ class TestRunFilters:
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=29)
         bw = Bandwidth(0.15)
-        full = run_filters(traj, model, tau=2, l=1, eval_start=90, bandwidth=bw)
+        full = run_filters([traj], model, tau=2, l=1, eval_start=90, bandwidth=bw)[0]
         cut = Trajectory(s=traj.s[:100], x=traj.x[:100])
-        part = run_filters(cut, model, tau=2, l=1, eval_start=90, bandwidth=bw)
+        part = run_filters([cut], model, tau=2, l=1, eval_start=90, bandwidth=bw)[0]
         assert full.eval_start == part.eval_start
         for name in ("optimal_posterior", "optimal_predictive", "nonparametric_posterior"):
             np.testing.assert_array_equal(getattr(full, name).argmax(axis=1)[:11],
@@ -345,7 +345,7 @@ class TestRunFilters:
     def test_vectors_stay_on_simplex(self):
         model = example_model()
         traj = simulate(model, 150, burn_in=50, rng_seed=31)
-        run = run_filters(traj, model, tau=2, l=1, eval_start=60)
+        run = run_filters([traj], model, tau=2, l=1, eval_start=60)[0]
         for v in (run.optimal_predictive, run.optimal_posterior,
                   run.nonparametric_predictive, run.nonparametric_posterior):
             assert v.shape == (91, 3)
@@ -356,15 +356,15 @@ class TestRunFilters:
     def test_method_selection(self):
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=37)
-        run = run_filters(traj, model, eval_start=100, mode="optimal")
+        run = run_filters([traj], model, eval_start=100, mode="optimal")[0]
         assert run.nonparametric_posterior is None and run.nonparametric_predictive is None
         assert run.optimal_posterior.shape == run.optimal_predictive.shape == (21, 3)
         assert not run.qp_fallback.any()
-        run = run_filters(traj, model, eval_start=100, mode="nonparametric")
+        run = run_filters([traj], model, eval_start=100, mode="nonparametric")[0]
         assert run.optimal_posterior is None and run.optimal_predictive is None
         assert run.nonparametric_posterior.shape == run.nonparametric_predictive.shape == (21, 3)
         with pytest.raises(ValueError, match="mode"):
-            run_filters(traj, model, eval_start=100, mode="nope")
+            run_filters([traj], model, eval_start=100, mode="nope")
 
 
 @pytest.mark.parametrize("field", ["predictive", "posterior"])
@@ -374,16 +374,17 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     import hmmar.filters as filters
     model = example_model()
     traj = simulate(model, 120, burn_in=50, rng_seed=43)
-    run = partial(run_filters, traj, model, tau=2, l=1, eval_start=100, bandwidth=Bandwidth(0.15))
+    run = partial(run_filters, [traj], model, tau=2, l=1, eval_start=100,
+                  bandwidth=Bandwidth(0.15))
 
-    # both filters' loops write every step through _bayes_update; the last
-    # step is the one with the emission row of x_120
+    # both filters' loops write every step through _bayes_update, on the
+    # block's (1, M) rows; the last step is the one with the emission row of x_120
     last_log_f = log_emissions(traj.x[-1], model.ar_means(traj.x[-3:-1][::-1]), model)
     update = filters._bayes_update
 
     def poisoned_update(log_f, predictive, out):
         update(log_f, predictive, out)
-        if np.array_equal(log_f, last_log_f):
+        if np.array_equal(log_f, [last_log_f]):
             (predictive, out)[field == "posterior"][:] = bad + [0.0]
         return out
 
@@ -419,22 +420,10 @@ def test_wrong_history_length_raises_through_per_step_functions():
             optimal_step(model.stationary, 0.5, history, model)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(M=hst.integers(1, 4), p=hst.integers(1, 3), tau=hst.integers(1, 5), l=hst.integers(1, 3),
-       seed=hst.integers(0, 2**32 - 1), extra=hst.integers(-2, 25),
-       h=hst.none() | hst.floats(0.05, 1.0))
-def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau, l, seed,
-                                                                      extra, h):
-    # tau stays below 8, where conditional_weights' row sums are sequential
-    model = random_model(M, p, np.random.default_rng(seed))
-    eval_start = warmup_threshold(p, tau) + 1
-    traj = simulate(model, eval_start + extra, burn_in=20, rng_seed=seed)
-    x = traj.x
-    bandwidth = None if h is None else Bandwidth(h)
-    run = partial(run_filters, traj, model, tau=tau, l=l, eval_start=eval_start,
-                  bandwidth=bandwidth)
-    both, optimal, nonparametric = run(mode="both"), run(mode="optimal"), run(mode="nonparametric")
-
+def per_step_rows(x, model, tau, l, eval_start, h):
+    """``{FilterRun field: (T, M) rows}`` and the (T,) fallback flags of the
+    ``optimal_step`` / ``nonparametric_step`` loops over one series (h None: UCV)."""
+    p = model.ar_order
     posterior = model.stationary
     steps = {"optimal_predictive": [], "optimal_posterior": [],
              "nonparametric_predictive": [], "nonparametric_posterior": []}
@@ -451,13 +440,65 @@ def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau,
         steps["nonparametric_predictive"].append(predictive)
         steps["nonparametric_posterior"].append(posterior)
         fallback.append(qp_fallback)
+    rows = {name: np.array(v).reshape(-1, model.M) for name, v in steps.items()}
+    return rows, np.array(fallback, dtype=bool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(M=hst.integers(1, 4), p=hst.integers(1, 3), tau=hst.integers(1, 5), l=hst.integers(1, 3),
+       seed=hst.integers(0, 2**32 - 1), extra=hst.integers(-2, 25),
+       h=hst.none() | hst.floats(0.05, 1.0))
+def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau, l, seed,
+                                                                      extra, h):
+    # tau stays below 8, where conditional_weights' row sums are sequential
+    model = random_model(M, p, np.random.default_rng(seed))
+    eval_start = warmup_threshold(p, tau) + 1
+    traj = simulate(model, eval_start + extra, burn_in=20, rng_seed=seed)
+    x = traj.x
+    bandwidth = None if h is None else Bandwidth(h)
+    run = partial(run_filters, [traj], model, tau=tau, l=l, eval_start=eval_start,
+                  bandwidth=bandwidth)
+    both, optimal, nonparametric = (run(mode=mode)[0]
+                                    for mode in ("both", "optimal", "nonparametric"))
+    steps, fallback = per_step_rows(x, model, tau, l, eval_start, h)
 
     assert np.array_equal(both.qp_fallback, nonparametric.qp_fallback)
-    assert np.array_equal(both.qp_fallback, np.array(fallback, dtype=bool))
+    assert np.array_equal(both.qp_fallback, fallback)
     for name, rows in steps.items():
         got = getattr(both, name)
         single = optimal if name.startswith("optimal") else nonparametric
         assert np.array_equal(got, getattr(single, name))
-        assert np.array_equal(got, np.array(rows).reshape(-1, M))
+        assert np.array_equal(got, rows)
         assert got.shape == (max(len(x) + 1 - eval_start, 0), M)
         assert np.all(got >= 0.0) and np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(k=hst.sampled_from([1, 2, 3, 7]), mode=hst.sampled_from(MODES), M=hst.integers(1, 4),
+       p=hst.integers(1, 3), tau=hst.integers(1, 5), l=hst.integers(1, 3),
+       seed=hst.integers(0, 2**32 - 1), extra=hst.integers(-2, 25),
+       h=hst.none() | hst.floats(0.05, 1.0))
+def test_block_matches_single_trajectory_runs_and_per_step_loops(k, mode, M, p, tau, l, seed,
+                                                                 extra, h):
+    # a block of k series in lockstep gives each series' own run, bit for bit;
+    # tau stays below 8, where conditional_weights' row sums are sequential
+    model = random_model(M, p, np.random.default_rng(seed))
+    eval_start = warmup_threshold(p, tau) + 1
+    trajs = [simulate(model, eval_start + extra, burn_in=20, rng_seed=seed + r)
+             for r in range(k)]
+    run = partial(run_filters, model=model, tau=tau, l=l, eval_start=eval_start,
+                  bandwidth=None if h is None else Bandwidth(h), mode=mode)
+    block = run(trajs)
+    assert len(block) == k
+    for traj, got in zip(trajs, block):
+        single = run([traj])[0]
+        steps, fallback = per_step_rows(traj.x, model, tau, l, eval_start, h)
+        assert np.array_equal(got.qp_fallback, single.qp_fallback)
+        if mode != "optimal":
+            assert np.array_equal(got.qp_fallback, fallback)
+        for name, rows in steps.items():
+            if mode not in ("both", name.split("_")[0]):
+                assert getattr(got, name) is None
+                continue
+            assert np.array_equal(getattr(got, name), getattr(single, name))
+            assert np.array_equal(getattr(got, name), rows)

@@ -235,8 +235,8 @@ class TestEmitTrace:
     def test_roundtrip_and_row_count(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters(traj, cfg.model, tau=cfg.tau, l=cfg.l,
-                          eval_start=cfg.eval_window[0])
+        run = run_filters([traj], cfg.model, tau=cfg.tau, l=cfg.l,
+                          eval_start=cfg.eval_window[0])[0]
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
         lines = path.read_text().splitlines()
@@ -256,8 +256,8 @@ class TestEmitTrace:
     def test_missing_method_leaves_cells_empty(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
-                          mode="optimal")
+        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0],
+                          mode="optimal")[0]
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
         lines = path.read_text().splitlines()
@@ -273,8 +273,8 @@ class TestEmitTrace:
     def test_trajectory_shorter_than_run_rejected(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters(traj, cfg.model, eval_start=cfg.eval_window[0],
-                          mode="optimal")
+        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0],
+                          mode="optimal")[0]
         short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
         with pytest.raises(ValueError, match="the run ends at n = 100"):
             emit_trace(short, run, tmp_path / "trace.csv")
@@ -318,3 +318,36 @@ def test_summary_matches_golden_bytes(name, tmp_path):
     assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == sorted(digests)
     for trace, digest in digests.items():
         assert hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest() == digest, trace
+
+
+@pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
+def test_two_repeat_blocks_keep_golden_bytes(name, tmp_path, monkeypatch):
+    # blocks are filtered in lockstep; a budget of one observation makes
+    # every block hold 2 repeats (1 where the count is odd), and the bytes
+    # must match the single-block goldens
+    import hmmar.harness as harness
+    sizes = []
+
+    def counted(trajectories, *args, **kwargs):
+        sizes.append(len(trajectories))
+        return run_filters(trajectories, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_BLOCK_OBS", 1)
+    monkeypatch.setattr(harness, "run_filters", counted)
+    config = load_config(DATA / f"{name}.json")
+    run_experiment(config, out_dir=tmp_path, trace=True)
+    assert sizes == {2: [2], 3: [2, 1]}[config.repeats]
+    assert (tmp_path / "summary.csv").read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()
+    digests = json.loads((DATA / "golden_traces.json").read_text(encoding="utf-8"))[name]
+    for trace, digest in digests.items():
+        assert hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest() == digest, trace
+
+
+def test_block_of_unequal_lengths_rejected():
+    cfg = config_from_dict(small_doc())
+    traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
+    short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
+    with pytest.raises(ValueError, match=r"one length, got lengths \[99, 100\]"):
+        run_filters([traj, short], cfg.model, eval_start=cfg.eval_window[0])
+    with pytest.raises(ValueError, match="one or more trajectories"):
+        run_filters([], cfg.model, eval_start=cfg.eval_window[0])
