@@ -68,7 +68,7 @@ def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.nd
 def _bayes_update(log_f: np.ndarray, predictive: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The update of :func:`posterior_update` from the log emission row, into ``out``.
 
-    Rows of a leading repeat axis are updated independently.  A zero u_m
+    Rows of leading (time or repeat) axes are updated independently.  A zero u_m
     takes log 0 = -inf; callers silence that divide warning.
     """
     np.log(predictive, out=out)
@@ -158,8 +158,7 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
     net.
     """
     x = np.asarray(x, dtype=float)
-    M = model.M
-    p = model.ar_order
+    M, p = model.M, model.ar_order
     if n <= max(p, tau + 1):
         raise ValueError(f"step index n = {n} needs more history (p = {p}, tau = {tau})")
     if x.shape[0] < n:
@@ -221,14 +220,13 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     read one emission pass over steps n = p + 1 .. len(x): each series' AR
     means from its lag view, and the (steps, R, M) log-emission array.  The
     optimal filter starts from the stationary distribution at n = p + 1 and
-    recurses over every row.  The nonparametric filter carries no state
-    across n: each recorded step builds the block's kernel columns, solves
-    each repeat's simplex QP as :func:`nonparametric_step` does and applies
-    the Bayes update.  If ``bandwidth`` is None it is selected per trajectory
-    by UCV on the delay embedding (dimension tau + 1) of its whole series;
-    pass one to pin it, e.g. when checking causality.  ``eval_start`` must
-    exceed :func:`warmup_threshold` if the nonparametric filter runs, else
-    the AR order.  Every row is checked to be a probability vector.
+    recurses over every row.  The nonparametric filter carries no state: a
+    prediction pass solves each step's QPs as :func:`nonparametric_step` does,
+    then one Bayes update brings in every x_n.  If ``bandwidth`` is None it is
+    selected per trajectory by UCV on the delay embedding (dimension tau + 1)
+    of its whole series; pass one to pin it, e.g. when checking causality.
+    ``eval_start`` must exceed :func:`warmup_threshold` if the nonparametric
+    filter runs, else the AR order.  Every row is checked to be a probability vector.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -268,17 +266,16 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
 
     if mode != "optimal":
         # The predictive stays uniform for M = 1, as in nonparametric_step.
-        npar_pred, npar_post = np.full((T, R, M), 1.0 / M), np.empty((T, R, M))
+        npar_pred = np.full((T, R, M), 1.0 / M)
         b2 = model.b2.tolist()
+        for k in range(T if M > 1 else 0):
+            means_n = means[k0 + k]
+            c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
+            for r in range(R):
+                sol = solve_kkt(_emission_overlaps(means_n[r].tolist(), b2), c[r])
+                npar_pred[k, r], fallback[r, k] = sol.u, sol.fallback
         with np.errstate(divide="ignore"):
-            for k in range(T):
-                means_n = means[k0 + k]
-                if M > 1:
-                    c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
-                    for r in range(R):
-                        sol = solve_kkt(_emission_overlaps(means_n[r].tolist(), b2), c[r])
-                        npar_pred[k, r], fallback[r, k] = sol.u, sol.fallback
-                _bayes_update(log_f[k0 + k], npar_pred[k], npar_post[k])
+            npar_post = _bayes_update(log_f[k0:], npar_pred, np.empty_like(npar_pred))
 
     arrays = (opt_pred, opt_post, npar_pred, npar_post)
     return [FilterRun(eval_start, fallback[r], *(None if v is None else v[:, r] for v in arrays))

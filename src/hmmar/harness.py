@@ -3,9 +3,9 @@
 A run draws ``repeats`` independent trajectories (seeds seed, seed+1, ...),
 filters each with the methods selected by ``mode``, and scores the fraction
 of wrong argmax decisions inside the evaluation window, separately for
-filtering and one-step prediction.  Results are aggregated as mean and
-standard error across repeats and written to ``summary.csv``; per-repeat
-``trace_<r>.csv`` files carry the plot-ready per-step data.
+filtering and one-step prediction.  Only these scores leave a block of
+repeats: their mean and standard error across repeats go to ``summary.csv``,
+and the per-step data only to the plot-ready ``trace_<r>.csv`` files.
 
 Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS``
 observations; set HMMAR_THREADS to run blocks in parallel (0 = one worker
@@ -93,6 +93,8 @@ class ExperimentConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode != "optimal" and hi - self.tau - 1 < self.l:
+            raise ConfigError(f"l = {self.l} leaves fewer than two delay vectors in x_1^{hi}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -168,13 +170,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _run_block(task) -> list[tuple[dict, Optional[FilterRun]]]:
+def _run_block(task) -> list[dict]:
     """Worker for a block of repeats, filtered in lockstep; top-level so pools can pickle it.
 
-    Returns ``({f"{method}_{task}": error, ..., "qp_fallback": steps}, run if kept)``
-    of each repeat, in order.
+    Takes ``(config, repeats, trace_dir)``; returns each repeat's
+    ``{f"{method}_{task}": error, ..., "qp_fallback": steps}``, in order.
     """
-    config, repeats, trace_dir, keep = task
+    config, repeats, trace_dir = task
     lo, hi = config.eval_window
     simulated = (simulate(config.model, config.n_total, config.burn_in, config.seed + r)
                  for r in repeats)
@@ -189,7 +191,7 @@ def _run_block(task) -> list[tuple[dict, Optional[FilterRun]]]:
         record["qp_fallback"] = int(run.qp_fallback.sum())
         if trace_dir is not None:
             emit_trace(traj, run, Path(trace_dir) / f"trace_{r}.csv")
-        results.append((record, run if keep else None))
+        results.append(record)
     return results
 
 
@@ -213,14 +215,11 @@ def _worker_count(repeats: int) -> int:
     return max(1, min(k, repeats))
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
-                   keep_records: bool = False):
-    """Run the configured experiment; returns an :class:`ErrorSummary`.
+def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False) -> ErrorSummary:
+    """Run the configured experiment; returns its :class:`ErrorSummary`.
 
     When ``out_dir`` is given, writes ``summary.csv`` there, plus one
-    ``trace_<r>.csv`` per repeat if ``trace`` is set.  With
-    ``keep_records=True`` returns ``(summary, runs)`` instead, ``runs`` holding
-    one :class:`~hmmar.filters.FilterRun` per repeat.
+    ``trace_<r>.csv`` per repeat if ``trace`` is set.
     """
     if trace and out_dir is None:
         raise ConfigError("trace output requires out_dir")
@@ -232,17 +231,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
     workers = _worker_count(config.repeats)
     # repeats per block: the observation budget's share, but a block for every worker
     size = min(max(2, _BLOCK_OBS // config.eval_window[1]), -(-config.repeats // workers))
-    tasks = [(config, range(a, min(a + size, config.repeats)), trace_dir, keep_records)
+    tasks = [(config, range(a, min(a + size, config.repeats)), trace_dir)
              for a in range(0, config.repeats, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = [_run_block(t) for t in tasks]
-    results = [result for block in blocks for result in block]
-
-    per_repeat = {key: np.array([record[key] for record, _ in results])
-                  for key in results[0][0]}
+    records = [record for block in blocks for record in block]
+    per_repeat = {key: np.array([record[key] for record in records]) for key in records[0]}
 
     def stat(key: str) -> Optional[ErrorStat]:
         if key not in per_repeat:
@@ -259,8 +256,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False,
     )
     if out_dir is not None:
         write_summary(summary, out_dir / "summary.csv")
-    if keep_records:
-        return summary, [run for _, run in results]
     return summary
 
 

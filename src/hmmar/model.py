@@ -41,7 +41,7 @@ class TransitionMatrix:
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
         if row_err > _ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1; max |row_sum - 1| = {row_err:.3e}")
+            raise ValueError(f"transition rows must sum to 1; max |row_sum - 1| = {row_err:.3e}")
         self.p = p
 
     @property
@@ -247,15 +247,15 @@ _STATE_KEYS = {"mu", "a", "b"}
 
 
 def _is_number(value) -> bool:
-    """True for a real number that is not a bool (`true` is no coefficient)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a float, or a real non-bool (`true` is no coefficient) that a float holds."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, float) or real and abs(value) <= np.finfo(float).max.item()
 
 
 def _float_array(doc: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an array of numbers, got {doc[key]!r}") from None
+    if not all(map(_is_number, np.asarray(doc[key], dtype=object).ravel())):  # "0.5" is no number
+        raise ValueError(f"{key} must be an array of numbers, got {doc[key]!r}")
+    return np.asarray(doc[key], dtype=float)
 
 
 def model_from_dict(doc: dict) -> SwitchingArModel:

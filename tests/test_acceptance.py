@@ -35,7 +35,17 @@ def report(criterion: int, name: str, ok: bool, detail: str) -> None:
 def example_run():
     """One full experiment on the bundled config: 50 repeats, seeds 0..49."""
     config = example_config()
-    summary, records = run_experiment(config, keep_records=True)
+    records = []
+
+    def kept(trajectories, *args, **kwargs):
+        runs = run_filters(trajectories, *args, **kwargs)
+        records.extend(runs)
+        return runs
+
+    with pytest.MonkeyPatch.context() as mp:  # serial, so the runs are seen here
+        mp.delenv("HMMAR_THREADS", raising=False)
+        mp.setattr(hmmar.harness, "run_filters", kept)
+        summary = run_experiment(config)
     return config, summary, records
 
 

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from hmmar import warmup_threshold
 from hmmar.cli import main
+from hmmar.filters import MODES
 
 EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 
@@ -167,3 +175,159 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+# Property tests over whole documents: every invalid one is a config error
+# naming its field (exit 2, nothing written), every small valid one runs.
+
+@hst.composite
+def valid_docs(draw):
+    """A small valid config: M 2-5, p 1-4, tau 1-5, l 1-3 and a short series."""
+    M, p = draw(hst.integers(2, 5)), draw(hst.integers(1, 4))
+    tau, l = draw(hst.integers(1, 5)), draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    transition = 0.5 * rng.dirichlet(np.ones(M), size=M) + 0.5 * np.eye(M)
+    states = [{"mu": float(rng.uniform(-2.0, 2.0)),
+               "a": (rng.uniform(-0.9, 0.9, size=p) / p).tolist(),
+               "b": float(rng.uniform(0.05, 1.0))} for _ in range(M)]
+    lo = warmup_threshold(p, tau) + 1 + draw(hst.integers(0, 10))
+    hi = lo + draw(hst.integers(0, 15))
+    return {"model": {"transition": transition.tolist(), "states": states},
+            "n_total": hi + draw(hst.integers(0, 5)), "eval_window": [lo, hi],
+            "tau": tau, "l": l, "repeats": draw(hst.integers(1, 2)),
+            "seed": draw(hst.integers(0, 1000)), "burn_in": draw(hst.integers(0, 30)),
+            "mode": draw(hst.sampled_from(MODES))}
+
+
+DELETE = object()
+NAN, INF = float("nan"), float("inf")
+
+
+def state_count(doc):
+    return len(doc["model"]["states"])
+
+
+def warmup_start(doc):
+    return warmup_threshold(len(doc["model"]["states"][0]["a"]), doc["tau"])
+
+
+def without_last(seq, doc):
+    return seq[:-1]
+
+
+# (id, path into the document, new value (or DELETE, or a function of the old
+# value and the document), text the error must contain; {i} is the last state)
+SPOILERS = [
+    *[(f"{field}-type", (field,), bad, field) for field, bad in [
+        ("n_total", 2.5), ("tau", True), ("l", "3"), ("repeats", None), ("seed", [1]),
+        ("burn_in", NAN)]],
+    *[(f"{field}-floor", (field,), floor - 1, field)
+      for field, floor in {"n_total": 1, "tau": 1, "l": 1, "repeats": 1, "seed": 0,
+                           "burn_in": 0}.items()],
+    ("window-short", ("eval_window",), lambda w, d: w[:1], "eval_window"),
+    ("window-long", ("eval_window",), lambda w, d: w + w[1:], "eval_window"),
+    ("window-float", ("eval_window",), lambda w, d: [float(w[0]), w[1]], "eval_window"),
+    ("window-text", ("eval_window",), lambda w, d: f"{w[0]},{w[1]}", "eval_window"),
+    ("window-reversed", ("eval_window",), lambda w, d: [w[1] + 1, w[1]], "eval_window"),
+    ("window-past-end", ("eval_window",), lambda w, d: [w[0], d["n_total"] + 1], "eval_window"),
+    ("window-warm-up", ("eval_window",), lambda w, d: [warmup_start(d), w[1]], "eval_window"),
+    ("stride-too-long", ("l",), lambda l, d: d["eval_window"][1] - d["tau"], "l = "),
+    ("mode-case", ("mode",), "Both", "mode"),
+    ("mode-null", ("mode",), None, "mode"),
+    *[(f"missing-{key}", (key,), DELETE, f"missing '{key}'")
+      for key in ("model", "n_total", "eval_window")],
+    ("unknown-key", ("eval_windows",), [1, 2], "eval_windows"),
+    *[(f"transition-entry-{name}", ("model", "transition", 0, 0), bad, "transition")
+      for name, bad in [("nan", NAN), ("inf", INF), ("negative", -0.1), ("above-1", 1.5),
+                        ("text", "0.5"), ("null", None), ("huge-int", 10**400)]],
+    ("transition-row-sum", ("model", "transition", 0, 0), lambda v, d: v + 1e-9, "transition"),
+    ("transition-ragged", ("model", "transition", 0), without_last, "transition"),
+    ("transition-not-square", ("model", "transition"), without_last, "transition"),
+    ("transition-reducible", ("model", "transition"),
+     lambda t, d: np.eye(len(t)).tolist(), "transition"),
+    ("transition-text", ("model", "transition"), "P", "transition"),
+    *[(f"mu-{name}", ("model", "states", -1, "mu"), bad, "states[{i}].mu")
+      for name, bad in [("nan", NAN), ("inf", -INF), ("text", "0.1"), ("bool", True),
+                        ("huge-int", -10**400)]],
+    *[(f"b-{name}", ("model", "states", -1, "b"), bad, "states[{i}].b")
+      for name, bad in [("zero", 0.0), ("negative", -0.5), ("nan", NAN), ("inf", INF),
+                        ("square-underflows", 1e-200), ("square-overflows", 1e200),
+                        ("list", [0.2])]],
+    *[(f"a-{name}", ("model", "states", -1, "a"), bad, "states[{i}].a")
+      for name, bad in [("nan", lambda a, d: [*a[:-1], NAN]),
+                        ("bool", lambda a, d: [True] * len(a)),
+                        ("nested", lambda a, d: [a]), ("text", "a")]],
+    ("state-extra-key", ("model", "states", -1, "sigma"), 1.0, "states[{i}]"),
+    ("state-missing-key", ("model", "states", -1, "b"), DELETE, "states[{i}]"),
+    ("state-not-object", ("model", "states", -1), [1.0], "states[{i}]"),
+    ("state-count", ("model", "states"), without_last, "states"),
+    ("state-orders", ("model", "states", -1, "a"), lambda a, d: a + [0.0], "states"),
+    *[(f"initial-{name}", ("model", "initial_dist"), bad, "initial_dist")
+      for name, bad in [("length", lambda v, d: [1.0] * (state_count(d) + 1)),
+                        ("nan", lambda v, d: [NAN] * state_count(d)),
+                        ("sum", lambda v, d: [1.0] * state_count(d)),
+                        ("negative", lambda v, d: [-1.0, 2.0] + [0.0] * (state_count(d) - 2)),
+                        ("text", "uniform")]],
+    ("model-unknown-key", ("model", "order"), 2, "unknown model keys"),
+    ("model-not-object", ("model",), [], "model"),
+]
+
+
+def spoiled(doc, path, value):
+    """``doc`` with the entry at ``path`` set to ``value`` (see SPOILERS)."""
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is DELETE:
+        del target[key]
+    elif callable(value):
+        target[key] = value(target.get(key) if isinstance(target, dict) else target[key], doc)
+    else:
+        target[key] = value
+    return doc
+
+
+def run_cli(args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("path,value,field", [s[1:] for s in SPOILERS],
+                         ids=[s[0] for s in SPOILERS])
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(doc=valid_docs())
+def test_invalid_documents_exit_2_naming_the_field(path, value, field, doc):
+    if path[0] == "l":  # too long a stride matters only to the nonparametric filter
+        doc["mode"] = "both"
+    doc = spoiled(doc, path, value)
+    if "{i}" in field:
+        field = field.format(i=state_count(doc) - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        for args in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(out)]):
+            code, err = run_cli(args)
+            assert code == 2, (args[0], err)
+            assert err.startswith("config error: ") and field in err, err
+        assert not out.exists()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(doc=valid_docs())
+def test_small_valid_documents_write_a_finite_summary(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli(["run", "--config", str(path), "--out", str(out)])
+        assert code == 0, err
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert header == "method,task,mean_error,stderr,repeats"
+    assert len(rows) == (4 if doc["mode"] == "both" else 2)
+    for row in rows:
+        method, task, mean, stderr, repeats = row.split(",")
+        assert 0.0 <= float(mean) <= 1.0 and math.isfinite(float(stderr))
+        assert int(repeats) == doc["repeats"]

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as hst
 
 from scipy.stats import norm
 
-from hmmar.filters import (MODES, FilterRun, log_emissions, nonparametric_step, optimal_step,
-                           posterior_update, run_filters, warmup_threshold)
+from hmmar.filters import (MODES, FilterRun, emission_mixture_problem, log_emissions,
+                           nonparametric_step, optimal_step, posterior_update, run_filters,
+                           warmup_threshold)
 from hmmar.harness import emit_trace
 from hmmar.kde import Bandwidth, embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate, stationary_distribution)
+from hmmar.simplex_qp import solve_kkt
+
+import nonparametric_reference
 
 EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 
@@ -178,6 +182,34 @@ def test_nonparametric_filter_matches_per_step_reference_exactly(M, p):
         # a repeated state makes C singular, so every step falls back
         twin = SwitchingArModel(model.transition, [*model.states[:-1], model.states[0]])
         assert assert_nonparametric_matches_steps(traj, twin, 2, 1, None).qp_fallback.all()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nonparametric_arithmetic_matches_quadrature_oracle(seed):
+    # C and c from their integrals and the conditional KDE as a ratio of
+    # joint and marginal kernel sums, sharing no code with hmmar.filters or
+    # hmmar.kde; the QP on the oracle's (C, c) and its Bayes update give
+    # run_filters' rows (agreement seen on such models: about 1e-13)
+    rng = np.random.default_rng(9000 + seed)
+    M, p, tau, l = (int(rng.integers(lo, hi + 1)) for lo, hi in ((2, 4), (1, 2), (1, 3), (1, 2)))
+    model = random_model(M, p, rng)
+    eval_start = warmup_threshold(p, tau) + 1
+    traj = simulate(model, eval_start + 30, burn_in=20, rng_seed=seed)
+    h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l)).h
+    run = run_filters([traj], model, tau, l, eval_start=eval_start, bandwidth=Bandwidth(h),
+                      mode="nonparametric")[0]
+    for k in (0, 15, 30):
+        n = eval_start + k
+        C_ref, c_ref = nonparametric_reference.mixture_problem(traj.x, n, model, tau, l, h)
+        C, c = emission_mixture_problem(traj.x, n, model, tau, l, h)
+        np.testing.assert_allclose(C, C_ref, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-8, atol=0.0)
+        sol = solve_kkt(C_ref, c_ref)
+        assert sol.fallback == run.qp_fallback[k]
+        np.testing.assert_allclose(run.nonparametric_predictive[k], sol.u, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(run.nonparametric_posterior[k],
+                                   nonparametric_reference.posterior(sol.u, traj.x, n, model),
+                                   rtol=0.0, atol=1e-8)
 
 
 def test_identical_states_make_posterior_equal_predictive():
@@ -377,15 +409,16 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     run = partial(run_filters, [traj], model, tau=2, l=1, eval_start=100,
                   bandwidth=Bandwidth(0.15))
 
-    # both filters' loops write every step through _bayes_update, on the
-    # block's (1, M) rows; the last step is the one with the emission row of x_120
+    # both filters write every step through _bayes_update: the optimal loop
+    # one step's (1, M) rows at a time, the nonparametric filter all its
+    # (T, 1, M) rows at once; step 120's is the last row, with x_120's emissions
     last_log_f = log_emissions(traj.x[-1], model.ar_means(traj.x[-3:-1][::-1]), model)
     update = filters._bayes_update
 
     def poisoned_update(log_f, predictive, out):
         update(log_f, predictive, out)
-        if np.array_equal(log_f, [last_log_f]):
-            (predictive, out)[field == "posterior"][:] = bad + [0.0]
+        if np.array_equal(log_f[-1].reshape(-1), last_log_f):
+            (predictive, out)[field == "posterior"][-1] = bad + [0.0]
         return out
 
     monkeypatch.setattr(filters, "_bayes_update", poisoned_update)

@@ -168,9 +168,19 @@ class TestRunExperiment:
         assert nonp.filtering_error_nonparametric == both.filtering_error_nonparametric
         assert nonp.prediction_error_nonparametric == both.prediction_error_nonparametric
 
-    def test_summary_matches_records(self):
+    def test_summary_matches_records(self, monkeypatch):
+        import hmmar.harness as harness
+        runs = []
+
+        def kept(trajectories, *args, **kwargs):
+            block = run_filters(trajectories, *args, **kwargs)
+            runs.extend(block)
+            return block
+
+        monkeypatch.delenv("HMMAR_THREADS", raising=False)
+        monkeypatch.setattr(harness, "run_filters", kept)
         cfg = config_from_dict(small_doc(repeats=2))
-        summary, runs = run_experiment(cfg, keep_records=True)
+        summary = run_experiment(cfg)
         lo, hi = cfg.eval_window
         means = []
         for r, run in enumerate(runs):
