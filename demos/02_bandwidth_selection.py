@@ -2,8 +2,8 @@
 
 Delay-embeds an observed series in dimension tau + 1, sweeps the unbiased
 cross-validation score over a bandwidth grid, and compares the minimizer
-found by the bracketed golden-section search with the oversmoothed upper
-bound h_plus.
+found by the bracketed Brent search with the oversmoothed upper bound
+h_plus.
 """
 import numpy as np
 

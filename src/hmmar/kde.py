@@ -18,13 +18,15 @@ from functools import cached_property, partial
 
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
 #: Points of the log-spaced grid that brackets the UCV minimum.
 _GRID_POINTS = 32
-#: Iteration cap of the golden-section refinement.
+#: Cap on the score evaluations of the Brent refinement.
 _MAX_ITER = 200
 #: Rows per block of EmbeddedSample.sorted_sq_dists.
-_DIST_BLOCK = 64
+_DIST_BLOCK = 16
+#: Largest leaf of the UCV score's sums, the length of its one buffer.
+_LEAF = 1 << 16
 
 
 @dataclass(eq=False)
@@ -96,6 +98,20 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
     return EmbeddedSample(vectors=x[idx])
 
 
+def _exp_sums(sq: np.ndarray, four_h2: float, buf: np.ndarray) -> tuple[float, float]:
+    """Sums of e = exp(-sq / 4h^2) and of e^2 through leaves in ``buf``, bit-equal
+    to numpy's ``sum`` of the whole arrays, whose pairwise splits they follow."""
+    n = sq.size
+    if n <= _LEAF:
+        e = np.divide(sq, -four_h2, out=buf[:n])
+        first = float(np.exp(e, out=e).sum())
+        return first, float(np.square(e, out=e).sum())
+    half = n // 2 - n // 2 % 8
+    a1, a2 = _exp_sums(sq[:half], four_h2, buf)
+    b1, b2 = _exp_sums(sq[half:], four_h2, buf)
+    return a1 + b1, a2 + b2
+
+
 def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     """Unbiased cross-validation score of the scalar bandwidth h."""
     if sample.N < 2:
@@ -105,10 +121,10 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     N, d, sq_dists = sample.N, sample.d, sample.sorted_sq_dists
     four_h2 = 4.0 * h * h
     # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
-    e = np.divide(sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)], -four_h2)
-    first = float(np.exp(e, out=e).sum())
+    live = sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)]
+    first, second = _exp_sums(live, four_h2, np.empty(min(live.size, _LEAF)))
     # exp(-s/2h^2) = exp(-s/4h^2)^2; each unordered pair appears twice in the double sum.
-    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * float(np.square(e, out=e).sum()))
+    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
 
@@ -124,43 +140,66 @@ def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
     return (4.0 / (sample.N * (sample.d + 2))) ** (1.0 / (sample.d + 4)) * sig_max
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> float:
-    """Minimize f on [a, b]; returns the midpoint of the final bracket."""
-    c = b - _GOLDEN * (b - a)
-    d_ = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d_)
-    for _ in range(_MAX_ITER):
-        if b - a <= tol:
+def _brent(f, a: float, b: float, tol: float) -> float:
+    """Minimize f on [a, b] by Brent's method; returns the best point evaluated.
+
+    Golden-section steps, or a parabola through the three best points when it
+    lands inside the bracket and shrinks the step (Brent 1973, ch. 5).  Stops
+    once the bracket lies within 2 tol / 3 (plus 1.5e-8 |x|) of the best point
+    x, or after ``_MAX_ITER`` evaluations.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    step = prev = 0.0  # the last step and the one before it
+    for _ in range(_MAX_ITER - 1):
+        mid = 0.5 * (a + b)
+        tol1 = 1.5e-8 * abs(x) + tol / 3.0
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             break
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+        p = q = 0.0
+        if abs(prev) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(0.5 * q * prev) and q * (a - x) < p < q * (b - x):
+            prev, step = step, p / q
+            if (x + step) - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                step = tol1 if x <= mid else -tol1
         else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b - a)
-            fd = f(d_)
-    return 0.5 * (a + b)
+            prev = (b if x < mid else a) - x
+            step = _GOLDEN * prev
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     """Bandwidth minimizing the UCV score on (0, h_plus].
 
     The score can carry spurious local minima near h = 0, so the search
-    bracket is [1e-6 h_plus, h_plus]; a coarse log-spaced grid locates the best
-    basin, then golden-section search refines it to 1e-4 h_plus.  Each score
-    evaluation reuses the once-sorted distances and skips the exact-zero pairs.
+    bracket is [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the
+    best basin, then Brent's method refines the cell [grid[k - 1], grid[k + 1]]
+    around its best point k to 1e-4 h_plus.  Each score evaluation reuses the
+    once-sorted distances and skips the exact-zero pairs.
     """
     if sample.N < 2:
         raise ValueError("bandwidth selection needs at least two embedded vectors")
     h_plus = oversmoothed_bandwidth(sample)
     score = partial(ucv_objective, sample)
     grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
-    values = np.array([score(h) for h in grid])
-    k = int(np.argmin(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, _GRID_POINTS - 1)]
-    h = _golden_section(score, lo, hi, tol=1e-4 * h_plus)
+    k = int(np.argmin([score(h) for h in grid]))
+    h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
     return Bandwidth(h=min(h, h_plus))
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from scipy.integrate import quad
 from scipy.spatial.distance import pdist
 from scipy.stats import multivariate_normal
 
+import hmmar.kde as kde
 from hmmar.harness import example_config
-from hmmar.kde import (Bandwidth, EmbeddedSample, _golden_section,
-                       conditional_weights, embed, embedding_heads,
+from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, Bandwidth, EmbeddedSample, _brent,
+                       _exp_sums, conditional_weights, embed, embedding_heads,
                        oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
 from hmmar.model import simulate
 
@@ -50,6 +52,30 @@ def reference_ucv_score(sq_dists: np.ndarray, N: int, d: int, h: float) -> float
     )
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
+
+
+def whole_array_sums(sq: np.ndarray, four_h2: float) -> tuple[float, float]:
+    """The sums of exp(-sq / 4h^2) and of its square as whole-array expressions."""
+    e = np.divide(sq, -four_h2)
+    first = float(np.exp(e, out=e).sum())
+    return first, float(np.square(e, out=e).sum())
+
+
+def whole_array_score(sample: EmbeddedSample, h: float) -> float:
+    """``ucv_objective`` with its sums over one copy of all live pairs."""
+    N, d, sq = sample.N, sample.d, sample.sorted_sq_dists
+    four_h2 = 4.0 * h * h
+    first, second = whole_array_sums(sq[:np.searchsorted(sq, 746.0 * four_h2)], four_h2)
+    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
+    lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
+    return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
+
+
+def ucv_grid(sample: EmbeddedSample) -> tuple[np.ndarray, int]:
+    """The bracketing grid of ``ucv_bandwidth`` and the index of its best point."""
+    h_plus = oversmoothed_bandwidth(sample)
+    grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
+    return grid, int(np.argmin([ucv_objective(sample, h) for h in grid]))
 
 
 def example_sample(seed: int) -> EmbeddedSample:
@@ -164,6 +190,15 @@ class TestSortedSqDists:
         scales = 10.0 ** rng.integers(-6, 6, size=(130, 1))
         self.assert_matches_pdist(rng.standard_cauchy((130, d)) * scales)
 
+    @pytest.mark.parametrize("N,d", [(2, 1), (17, 3), (63, 2), (64, 1), (65, 4), (200, 3),
+                                     (598, 3)])
+    def test_block_size_leaves_bits_unchanged(self, N, d, monkeypatch):
+        vectors = np.random.default_rng(N + d).standard_normal((N, d))
+        small = EmbeddedSample(vectors).sorted_sq_dists
+        monkeypatch.setattr(kde, "_DIST_BLOCK", 64)
+        assert np.array_equal(EmbeddedSample(vectors).sorted_sq_dists, small)
+
+
 class TestUcvObjective:
     def test_two_point_case_matches_generic_form(self):
         for c in (0.5, 1.0, 2.3):
@@ -221,6 +256,26 @@ class TestUcvObjective:
             skipped = sq[sq >= 746.0 * 4.0 * h * h]
             assert not np.exp(-skipped / (4.0 * h * h)).any()
 
+    @pytest.mark.parametrize("n", [*range(1, 300, 7), _LEAF - 8, _LEAF - 1, _LEAF, _LEAF + 1,
+                                   _LEAF + 8, 2 * _LEAF - 8, 2 * _LEAF - 1, 2 * _LEAF,
+                                   2 * _LEAF + 1, 2 * _LEAF + 8, 178_503, 3 * _LEAF + 5,
+                                   262_147, 399_999, 400_000])
+    def test_leaf_sums_match_whole_array_sums(self, n):
+        # the leaves follow numpy's pairwise splits, so the sums keep their bits
+        rng = np.random.default_rng(n)
+        sq = np.sort(rng.exponential(size=n) * 10.0 ** rng.integers(-3, 3, size=n))
+        for four_h2 in (1e-3, 0.37, 25.0):
+            got = _exp_sums(sq, four_h2, np.empty(min(n, _LEAF)))
+            assert got == whole_array_sums(sq, four_h2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_score_matches_whole_array_score(self, seed):
+        # from no live pair up to all 178,503 of an example sample
+        sample = example_sample(seed)
+        h_plus = oversmoothed_bandwidth(sample)
+        for h in np.geomspace(1e-6 * h_plus, 4.0 * h_plus, 97):
+            assert ucv_objective(sample, h) == whole_array_score(sample, h)
+
 
 class TestOversmoothedBandwidth:
     def test_reference_value_1d(self):
@@ -268,6 +323,9 @@ class TestUcvBandwidth:
         assert ucv_objective(sample, bw.h) <= grid_min + 1e-6
 
     def test_matches_reference_search_exactly(self):
+        # Brent's parabolic steps use the score's values, not only its order,
+        # so the search runs on ucv_objective's bits; the two-exp reference
+        # picks the cell, and its own search lands within 1e-11 h_plus
         for seed in range(10):
             sample = example_sample(seed)
             sq = pdist(sample.vectors, "sqeuclidean")
@@ -278,9 +336,45 @@ class TestUcvBandwidth:
 
             grid = np.geomspace(1e-6 * h_plus, h_plus, 32)
             k = int(np.argmin([score(h) for h in grid]))
-            h = _golden_section(score, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
-                                tol=1e-4 * h_plus)
+            cell = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+            h = _brent(partial(ucv_objective, sample), *cell, tol=1e-4 * h_plus)
             assert ucv_bandwidth(sample).h == min(h, h_plus)
+            h_ref = _brent(score, *cell, tol=1e-4 * h_plus)
+            assert min(h_ref, h_plus) == pytest.approx(min(h, h_plus), rel=0.0, abs=1e-11 * h_plus)
+
+    def test_mean_evaluations_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(sample, h):
+            calls.append(h)
+            return ucv_objective(sample, h)
+
+        monkeypatch.setattr(kde, "ucv_objective", counted)
+        for seed in range(10):
+            ucv_bandwidth(example_sample(seed))
+        assert len(calls) / 10 <= 45
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_no_gap_to_dense_grid_over_bracket_cell(self, seed):
+        sample = example_sample(seed)
+        assert sample.d == 3
+        grid, k = ucv_grid(sample)
+        cell = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], 2000)
+        cell_min = min(ucv_objective(sample, h) for h in cell)
+        assert ucv_objective(sample, ucv_bandwidth(sample).h) <= cell_min + 1e-6
+
+    @pytest.mark.parametrize("x, k", [
+        (np.round(2.0 * np.random.default_rng(0).standard_normal(200)), 0),  # tied values
+        (np.random.default_rng(0).standard_normal(30), _GRID_POINTS - 1),
+        (np.random.default_rng(1).uniform(size=100), _GRID_POINTS - 1),
+    ])
+    def test_grid_minimum_on_edge_stays_in_edge_cell(self, x, k):
+        sample = embed(x, d=1, l=1)
+        grid, k_got = ucv_grid(sample)
+        assert k_got == k
+        h = ucv_bandwidth(sample).h
+        assert grid[max(k - 1, 0)] <= h <= grid[min(k + 1, _GRID_POINTS - 1)]
+        assert h <= oversmoothed_bandwidth(sample)
 
     def test_translation_leaves_selection_unchanged(self):
         rng = np.random.default_rng(13)
@@ -289,6 +383,59 @@ class TestUcvBandwidth:
         h1 = ucv_bandwidth(sample).h
         h2 = ucv_bandwidth(shifted).h
         assert h1 == pytest.approx(h2, rel=1e-9)
+
+
+class TestBrent:
+    """Edge cases of the 1-D minimiser behind ``ucv_bandwidth``."""
+
+    CASES = [
+        # f, a, b, the set of minimisers as [lo, hi]
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0, (0.3, 0.3)),
+        (lambda x: 2.0 + (x - 1.7) ** 2, 1.0, 5.0, (1.7, 1.7)),
+        (lambda x: (x - 0.25) ** 4, 0.0, 1.0, (0.25, 0.25)),
+        (lambda x: max(abs(x - 0.5) - 0.2, 0.0), 0.0, 1.0, (0.3, 0.7)),  # flat bottom
+        (lambda x: abs(x - 0.61), 0.0, 1.0, (0.61, 0.61)),
+        (lambda x: x, 0.2, 0.9, (0.2, 0.2)),  # one-sided: minimum on an end
+        (lambda x: -math.exp(x), -1.0, 3.0, (3.0, 3.0)),
+        (lambda x: math.log(x), 1e-6, 1e-5, (1e-6, 1e-6)),
+    ]
+
+    @staticmethod
+    def recorded(f):
+        seen = []
+
+        def g(x):
+            seen.append((x, f(x)))
+            return seen[-1][1]
+
+        return g, seen
+
+    @pytest.mark.parametrize("tol_frac", [1e-4, 1e-2])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_finds_minimum_inside_bracket(self, case, tol_frac):
+        f, a, b, (lo, hi) = self.CASES[case]
+        tol = tol_frac * (b - a)
+        g, seen = self.recorded(f)
+        x = _brent(g, a, b, tol)
+        assert lo - tol <= x <= hi + tol
+        assert all(a <= u <= b for u, _ in seen)
+        assert len(seen) <= _MAX_ITER
+        assert f(x) == min(v for _, v in seen)  # the best point evaluated
+
+    @staticmethod
+    def noise(seed):
+        rng, values = np.random.default_rng(seed), {}
+        return lambda x: values.setdefault(x, rng.standard_normal())
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_evaluation_cap(self, cap, monkeypatch):
+        # white noise needs 17-39 evaluations to shrink [0, 1] to tol = 0
+        monkeypatch.setattr(kde, "_MAX_ITER", cap)
+        g, seen = self.recorded(self.noise(cap))
+        x = _brent(g, 0.0, 1.0, tol=0.0)
+        assert len(seen) == cap
+        assert all(0.0 <= u <= 1.0 for u, _ in seen)
+        assert x == min(seen, key=lambda p: p[1])[0]
 
 
 class TestConditionalWeights:
