@@ -323,24 +323,28 @@ class TestUcvBandwidth:
         assert ucv_objective(sample, bw.h) <= grid_min + 1e-6
 
     def test_matches_reference_search_exactly(self):
-        # Brent's parabolic steps use the score's values, not only its order,
-        # so the search runs on ucv_objective's bits; the two-exp reference
-        # picks the cell, and its own search lands within 1e-11 h_plus
+        # The search over the whole-array score, which is bit-equal to
+        # ucv_objective without its leaf sums, gives h exactly; the two-exp
+        # reference picks the same cell, and since Brent's parabolic steps use
+        # score values, not only their order, its own search lands within
+        # 1e-11 h_plus
         for seed in range(10):
             sample = example_sample(seed)
             sq = pdist(sample.vectors, "sqeuclidean")
             h_plus = oversmoothed_bandwidth(sample)
+            whole = partial(whole_array_score, sample)
 
             def score(h):
                 return reference_ucv_score(sq, sample.N, sample.d, h)
 
             grid = np.geomspace(1e-6 * h_plus, h_plus, 32)
-            k = int(np.argmin([score(h) for h in grid]))
+            k = int(np.argmin([whole(h) for h in grid]))
+            assert int(np.argmin([score(h) for h in grid])) == k
             cell = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-            h = _brent(partial(ucv_objective, sample), *cell, tol=1e-4 * h_plus)
-            assert ucv_bandwidth(sample).h == min(h, h_plus)
-            h_ref = _brent(score, *cell, tol=1e-4 * h_plus)
-            assert min(h_ref, h_plus) == pytest.approx(min(h, h_plus), rel=0.0, abs=1e-11 * h_plus)
+            h = min(_brent(whole, *cell, tol=1e-4 * h_plus), h_plus)
+            assert ucv_bandwidth(sample).h == h
+            h_ref = min(_brent(score, *cell, tol=1e-4 * h_plus), h_plus)
+            assert h_ref == pytest.approx(h, rel=0.0, abs=1e-11 * h_plus)
 
     def test_mean_evaluations_per_fit(self, monkeypatch):
         calls = []
