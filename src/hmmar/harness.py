@@ -16,9 +16,11 @@ byte-identical regardless of blocking and parallelism.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import MODES, FilterRun, run_filters, warmup_threshold
-from .model import SwitchingArModel, Trajectory, model_from_dict, simulate
+from .model import SwitchingArModel, Trajectory, check_fields, model_from_dict, simulate
 
 #: (method, task, FilterRun field scored) of each summary row, in output order.  A
 #: row's per-repeat key is f"{method}_{task}", its ErrorSummary field f"{task}_error_{method}".
@@ -97,19 +99,9 @@ class ExperimentConfig:
             raise ConfigError(f"l = {self.l} leaves fewer than two delay vectors in x_1^{hi}")
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate an experiment config document (unknown keys rejected)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("model", "n_total", "eval_window"):
-        if key not in doc:
-            raise ConfigError(f"config is missing '{key}'")
+    check_fields(doc, "config", ExperimentConfig, ConfigError)
     try:
         model = model_from_dict(doc["model"])
     except ValueError as exc:
@@ -177,14 +169,26 @@ def _run_block(task) -> list[dict]:
     ``{f"{method}_{task}": error, ..., "qp_fallback": steps}``, in order.
     """
     config, repeats, trace_dir = task
-    lo, hi = config.eval_window
-    simulated = (simulate(config.model, config.n_total, config.burn_in, config.seed + r)
-                 for r in repeats)
-    clipped = [Trajectory(s=t.s[:hi], x=t.x[:hi]) for t in simulated]
-    runs = run_filters(clipped, config.model, tau=config.tau, l=config.l, eval_start=lo,
+    model, (lo, hi) = config.model, config.eval_window
+    # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
+    # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
+    # at most hi squares, and the emissions divide one by 2 b^2.  UCV's score scales by
+    # N^2 (4 pi)^(d/2) h^d, d = tau + 1, with h <= h_plus <= sqrt(2) peak.
+    fmax, reach = sys.float_info.max, 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
+    limit = math.sqrt(fmax * min(1.0 / hi, 2.0 * model.b2.min())) / reach
+    if config.mode != "optimal":
+        limit = min(limit, (fmax / hi / hi) ** (1.0 / (config.tau + 1)) / math.sqrt(8.0 * math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):  # such a series is rejected below
+        trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
+    for r, traj in zip(repeats, trajectories):
+        peak = float(np.abs(np.concatenate([traj.x, model.mu])).max())
+        if not peak <= limit:
+            raise ConfigError(f"model: the series of seed {config.seed + r} reaches {peak:.3g}, "
+                              f"past {limit:.3g}, where the filters' arithmetic overflows")
+    runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
                        mode=config.mode)
     results = []
-    for r, traj, run in zip(repeats, clipped, runs):
+    for r, traj, run in zip(repeats, trajectories, runs):
         truth = traj.s[lo - 1:]
         record = {f"{method}_{task}": _error_fraction(getattr(run, field), truth)
                   for method, task, field in _ROWS if getattr(run, field) is not None}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -23,6 +23,19 @@ _STATIONARY_MAX_ITER = 10_000  # power-iteration budget of stationary_distributi
 _STATIONARY_TOL = 1e-13  # its L1 step size at convergence
 
 
+def _is_number(value) -> bool:
+    """True for a float, or a real non-bool (`true` is no coefficient) that a float holds."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, float) or real and abs(value) <= np.finfo(float).max.item()
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a ValueError naming ``name`` unless every leaf is a number."""
+    if not all(map(_is_number, np.asarray(value, dtype=object).ravel())):  # "0.5" is no number
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 @dataclass(eq=False)
 class TransitionMatrix:
     """Row-stochastic transition matrix, p[i, j] = Pr(next = j | current = i)."""
@@ -30,7 +43,7 @@ class TransitionMatrix:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = _number_array(self.p, "transition")
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {p.shape}")
         if p.shape[0] < 1:
@@ -58,9 +71,11 @@ class ArStateParams:
     b: float
 
     def __post_init__(self):
-        self.mu = float(self.mu)
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        self.b = float(self.b)
+        for name in ("mu", "b"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        self.mu, self.b = float(self.mu), float(self.b)
+        self.a = np.atleast_1d(_number_array(self.a, "a"))
         if self.a.ndim != 1:
             raise ValueError("a must be a 1-D coefficient vector")
         if not np.isfinite(self.mu):
@@ -101,7 +116,7 @@ class SwitchingArModel:
         if len(orders) != 1:
             raise ValueError(f"all states must share one AR order, got orders {sorted(orders)}")
         if self.initial_dist is not None:
-            q = np.asarray(self.initial_dist, dtype=float)
+            q = _number_array(self.initial_dist, "initial_dist")
             if q.shape != (self.transition.M,):
                 raise ValueError(f"initial_dist must have length {self.transition.M}")
             if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= _ROW_SUM_TOL):
@@ -242,20 +257,17 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     return Trajectory(s=s[burn_in:] + 1, x=x[p + burn_in:])
 
 
-_MODEL_KEYS = {"transition", "states", "initial_dist"}
-_STATE_KEYS = {"mu", "a", "b"}
-
-
-def _is_number(value) -> bool:
-    """True for a float, or a real non-bool (`true` is no coefficient) that a float holds."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return isinstance(value, float) or real and abs(value) <= np.finfo(float).max.item()
-
-
-def _float_array(doc: dict, key: str) -> np.ndarray:
-    if not all(map(_is_number, np.asarray(doc[key], dtype=object).ravel())):  # "0.5" is no number
-        raise ValueError(f"{key} must be an array of numbers, got {doc[key]!r}")
-    return np.asarray(doc[key], dtype=float)
+def check_fields(doc, name: str, cls, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``doc`` is a dict whose keys are fields of the
+    dataclass ``cls``, with none missing that lacks a default."""
+    if not isinstance(doc, dict):
+        raise error(f"{name} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise error(f"{name} is missing {missing[0]!r}")
 
 
 def model_from_dict(doc: dict) -> SwitchingArModel:
@@ -267,41 +279,16 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
          "states": [{"mu": ..., "a": [...], "b": ...}, ...],
          "initial_dist": [...]}          # optional
 
-    Unknown keys are rejected.
+    Unknown keys are rejected; the types check the numbers.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    unknown = set(doc) - _MODEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    for key in ("transition", "states"):
-        if key not in doc:
-            raise ValueError(f"model document is missing '{key}'")
+    check_fields(doc, "model", SwitchingArModel)
     if not isinstance(doc["states"], list):
         raise ValueError(f"states must be a list of objects, got {doc['states']!r}")
     states = []
     for i, sdoc in enumerate(doc["states"]):
-        if not isinstance(sdoc, dict):
-            raise ValueError(f"states[{i}] must be an object")
-        unknown = set(sdoc) - _STATE_KEYS
-        if unknown:
-            raise ValueError(f"unknown keys in states[{i}]: {sorted(unknown)}")
-        missing = _STATE_KEYS - set(sdoc)
-        if missing:
-            raise ValueError(f"states[{i}] is missing {sorted(missing)}")
-        for key in ("mu", "b"):
-            if not _is_number(sdoc[key]):
-                raise ValueError(f"states[{i}].{key} must be a number, got {sdoc[key]!r}")
-        a = sdoc["a"]
-        if not (_is_number(a) or isinstance(a, list) and all(map(_is_number, a))):
-            raise ValueError(f"states[{i}].a must be a list of numbers, got {a!r}")
+        check_fields(sdoc, f"states[{i}]", ArStateParams)
         try:
-            states.append(ArStateParams(mu=sdoc["mu"], a=sdoc["a"], b=sdoc["b"]))
+            states.append(ArStateParams(**sdoc))
         except ValueError as exc:  # its messages start with the parameter's name
             raise ValueError(f"states[{i}].{exc}") from None
-    initial = doc.get("initial_dist")
-    return SwitchingArModel(
-        transition=TransitionMatrix(_float_array(doc, "transition")),
-        states=states,
-        initial_dist=None if initial is None else _float_array(doc, "initial_dist"),
-    )
+    return SwitchingArModel(TransitionMatrix(doc["transition"]), states, doc.get("initial_dist"))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from hmmar import warmup_threshold
+from hmmar import example_config_path, warmup_threshold
 from hmmar.cli import main
 from hmmar.filters import MODES
 
@@ -92,6 +92,31 @@ def test_overflowing_noise_scale_exits_2(config_path, capsys):
     assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
     assert "config error: model: states[0].b must have a nonzero square that is finite" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("states,mode,code", [
+    *[({0: state}, mode, 2) for state in ({"mu": 1e308}, {"a": [50.0, 0.0]})
+      for mode in ("both", "optimal")],  # exit 3 before, after numpy overflow warnings
+    ({0: {"mu": 1e60}}, "both", 0),  # far inside every term of the limit
+    ({0: {"mu": 1e140}}, "both", 2),  # UCV's h ** (tau + 1) would overflow
+    ({0: {"mu": 1e140}}, "optimal", 0),  # without UCV, 1e140 squares safely
+    ({0: {"b": 1e-150}, 1: {"mu": 1e5}}, "optimal", 2),  # (x - mean)^2 / 2b^2 would overflow
+], ids=["mu-1e308-both", "mu-1e308-optimal", "a-explosive-both", "a-explosive-optimal",
+        "mu-1e60", "mu-1e140-ucv", "mu-1e140-optimal", "b-tiny"])
+def test_overflowing_series_exits_2(tmp_path, states, mode, code):
+    # Each parameter is finite, so validate passes; only the simulated series can
+    # show that the filters' arithmetic would overflow.
+    doc = json.loads(Path(example_config_path()).read_text())
+    doc["repeats"] = 3
+    for i, change in states.items():
+        doc["model"]["states"][i].update(change)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", "--config", str(path)])[0] == 0
+    result, err = run_cli(["run", "--config", str(path), "--mode", mode])
+    assert result == code, err
+    if code == 2:
+        assert err.startswith("config error: model: the series of seed 0 reaches"), err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

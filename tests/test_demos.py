@@ -1,6 +1,8 @@
-"""Every demo script runs to completion (exit 0) from a scratch directory."""
+"""Every demo script, and the README's library quick start, runs to completion (exit 0)
+from a scratch directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,16 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1, "README should hold one python quick-start block"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # both filters' last decisions and the true last state, each one of the example's 3 states
+    words = proc.stdout.split()
+    assert len(words) == 3 and set(words) <= {"1", "2", "3"}, proc.stdout

@@ -97,6 +97,25 @@ class TestSwitchingArModel:
             example_model(initial_dist=q)
 
 
+@pytest.mark.parametrize("name,build", [
+    ("mu", lambda: ArStateParams("0.5", [0.1], 0.1)),
+    ("b", lambda: ArStateParams(0.5, [0.1], True)),
+    ("a", lambda: ArStateParams(0.5, ["0.1"], 0.1)),
+    ("a", lambda: ArStateParams(0.5, [True, 0.1], 0.1)),
+    ("transition", lambda: TransitionMatrix([["0.5", "0.5"], ["0.5", "0.5"]])),
+    ("transition", lambda: TransitionMatrix([[True, False], [False, True]])),
+    ("initial_dist", lambda: SwitchingArModel(
+        TransitionMatrix([[0.5, 0.5], [0.5, 0.5]]),
+        [ArStateParams(0.0, [0.1], 0.1), ArStateParams(1.0, [0.1], 0.1)],
+        initial_dist=["0.5", "0.5"])),
+], ids=["mu-text", "b-bool", "a-text", "a-bool", "transition-text", "transition-bool",
+        "initial_dist-text"])
+def test_constructors_reject_non_numbers(name, build):
+    """The library types hold the document's number rule: no strings, no bools."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
+
+
 class TestStationaryDistribution:
     def test_uniform_rows(self):
         t = TransitionMatrix(np.full((4, 4), 0.25))
@@ -215,6 +234,15 @@ class TestSimulate:
         assert abs(resid.mean()) < 0.02
         assert abs(resid.var() - 1.0) < 0.05
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shorter_series_is_a_prefix(self, seed):
+        """A run may simulate only the steps it filters: n changes no earlier step."""
+        model = example_model()
+        for n, longer, burn_in in ((600, 900, 100), (37, 5000, 0)):
+            short, long_ = simulate(model, n, burn_in, seed), simulate(model, longer, burn_in, seed)
+            np.testing.assert_array_equal(short.s, long_.s[:n])
+            np.testing.assert_array_equal(short.x, long_.x[:n])
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             simulate(example_model(), 0)
@@ -294,6 +322,20 @@ class TestModelFromDict:
         doc["states"][1]["sigma"] = 0.1
         with pytest.raises(ValueError, match="sigma"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(order=2), "unknown model keys: ['order']"),
+        (lambda doc: doc.pop("states"), "model is missing 'states'"),
+        (lambda doc: doc["states"][1].update(sigma=0.1), "unknown states[1] keys: ['sigma']"),
+        (lambda doc: doc["states"][2].pop("mu"), "states[2] is missing 'mu'"),
+        (lambda doc: doc["states"].append([0.1]), "states[3] must be a JSON object"),
+    ], ids=["model-unknown", "model-missing", "state-unknown", "state-missing", "state-not-object"])
+    def test_key_messages_name_the_object(self, edit, message):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(ValueError) as exc:
+            model_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_missing_keys_rejected(self):
         doc = self.doc()
