@@ -54,13 +54,12 @@ def log_emissions(x_n: float | np.ndarray, means: np.ndarray,
 
 
 def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Predictive vector posterior @ trans, clipped at 0 and renormalized, into ``out``.
+    """Predictive vector posterior @ trans, renormalized, into ``out``.
 
     Rows of a leading repeat axis are stacked (1, M) @ (M, M) products, which
     round like the 1-D one; a 2-D (R, M) @ (M, M) would not.
     """
     np.matmul(posterior[..., None, :], trans, out=out[..., None, :])
-    np.maximum(out, 0.0, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 

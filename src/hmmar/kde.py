@@ -21,6 +21,7 @@ import numpy as np
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
 #: Points of the log-spaced grid that brackets the UCV minimum.
 _GRID_POINTS = 32
+GRID_BOTTOM = 1e-6  # lowest h of that grid, as a fraction of h_plus
 #: Cap on the score evaluations of the Brent refinement.
 _MAX_ITER = 200
 #: Rows per block of EmbeddedSample.sorted_sq_dists.
@@ -193,11 +194,9 @@ def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     around its best point k to 1e-4 h_plus.  Each score evaluation reuses the
     once-sorted distances and skips the exact-zero pairs.
     """
-    if sample.N < 2:
-        raise ValueError("bandwidth selection needs at least two embedded vectors")
-    h_plus = oversmoothed_bandwidth(sample)
+    h_plus = oversmoothed_bandwidth(sample)  # rejects fewer than two embedded vectors
     score = partial(ucv_objective, sample)
-    grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
+    grid = np.geomspace(GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
     k = int(np.argmin([score(h) for h in grid]))
     h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
     return Bandwidth(h=min(h, h_plus))

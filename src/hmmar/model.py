@@ -19,8 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 _ROW_SUM_TOL = 1e-12
-_STATIONARY_MAX_ITER = 10_000  # power-iteration budget of stationary_distribution
-_STATIONARY_TOL = 1e-13  # its L1 step size at convergence
 
 
 def _is_number(value) -> bool:
@@ -82,6 +80,9 @@ class ArStateParams:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not np.isfinite(self.a).all():
             raise ValueError(f"a must be finite, got {self.a}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a term of every AR mean
+            if not np.isfinite(self.a.sum() * self.mu):
+                raise ValueError("a.sum() * mu leaves the float range")
         if not 0.0 < self.b < np.inf:
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not 0.0 < self.b * self.b < np.inf:
@@ -176,17 +177,11 @@ class Trajectory:
 
 
 def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
-    """Stationary distribution pi with pi @ P = pi.
+    """Stationary distribution pi with pi @ P = pi, by GTH elimination.
 
-    Power iteration on the lazy chain (P + I)/2, which shares the fixed point
-    but cannot oscillate on periodic chains.  A reducible chain (no unique
-    stationary distribution) is rejected up front: its boolean reachability
-    matrix, squared M.bit_length() times, is not all True.
-
-    Raises
-    ------
-    ValueError
-        If the chain is reducible or the iteration fails to converge.
+    Grassmann-Taksar-Heyman elimination takes each pivot as a row's off-diagonal sum, so
+    no digit cancels, however sticky the chain.  A reducible chain raises a ValueError:
+    its boolean reachability matrix, squared M.bit_length() times, is not all True.
     """
     P = t.p
     reach = (P > 0.0) | np.eye(t.M, dtype=bool)
@@ -194,15 +189,14 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
         reach = reach @ reach
     if not reach.all():
         raise ValueError("chain is reducible: stationary distribution is not unique")
-    Q = 0.5 * (P + np.eye(t.M))
-    pi = np.full(t.M, 1.0 / t.M)
-    for _ in range(_STATIONARY_MAX_ITER):
-        nxt = pi @ Q
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < _STATIONARY_TOL:
-            return nxt
-        pi = nxt
-    raise ValueError(f"power iteration did not converge in {_STATIONARY_MAX_ITER} steps")
+    A = P.copy()
+    for k in range(t.M - 1, 0, -1):  # censor state k: its flows pass to states 0..k-1
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.ones(t.M)
+    for k in range(1, t.M):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
 
 
 def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,83 @@ def test_overflowing_series_exits_2(tmp_path, states, mode, code):
     assert result == code, err
     if code == 2:
         assert err.startswith("config error: model: the series of seed 0 reaches"), err
+
+
+def example_with(tmp_path, edit) -> str:
+    """Path of the bundled example config after ``edit(doc)``, with 2 repeats."""
+    doc = json.loads(Path(example_config_path()).read_text())
+    doc["repeats"] = 2
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_without_warnings(args) -> tuple[int, str]:
+    """:func:`run_cli`, failing if a RuntimeWarning (numpy's overflow ones) was issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    return result
+
+
+def scaled(factor):
+    """Edit scaling every state's mu and b by ``factor``."""
+    def edit(doc):
+        for state in doc["model"]["states"]:
+            state.update(mu=state["mu"] * factor, b=state["b"] * factor)
+    return edit
+
+
+def tiny_states(doc):
+    """Every b at 1e-140 and mu at 0, 1e-139, 2e-139: UCV's 1/h^3 would be 1/0."""
+    for state, mu in zip(doc["model"]["states"], (0.0, 1e-139, 2e-139)):
+        state.update(mu=mu, b=1e-140)
+
+
+def constant_series(doc):
+    """b too small to move x off mu = 1: the series is constant."""
+    for state in doc["model"]["states"]:
+        state.update(mu=1.0, b=1e-100)
+
+
+@pytest.mark.parametrize("edit,mode,code", [
+    (tiny_states, "both", 2),  # exited 0 after divide-by-zero warnings in UCV
+    (tiny_states, "nonparametric", 2),
+    (tiny_states, "optimal", 0),  # no UCV, nothing divides by h
+    (scaled(1e-100), "both", 2),  # exited 3: overflow in UCV's 1/h^3
+    (scaled(1e-100), "nonparametric", 2),
+    (scaled(1e-90), "both", 0),  # h_plus clears the floor
+    (constant_series, "both", 2),  # exited 3: "degenerate sample"
+], ids=["tiny-both", "tiny-nonparametric", "tiny-optimal", "1e-100-both",
+        "1e-100-nonparametric", "1e-90-both", "constant-both"])
+def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
+    path = example_with(tmp_path, edit)
+    assert run_without_warnings(["validate", "--config", path])[0] == 0
+    result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
+    assert result == code, err
+    if code == 2:
+        assert err.startswith("config error: model: the series of seed 0 has h_plus "), err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_overflowing_a_mu_exits_2(tmp_path, command):
+    # a.sum() * mu = 2e308 is past the float range; numpy used to warn, then validate passed
+    path = example_with(tmp_path, lambda doc: doc["model"]["states"][0].update(mu=1e308,
+                                                                               a=[2.0, 0.0]))
+    result, err = run_without_warnings([command, "--config", path])
+    assert result == 2
+    assert err.startswith("config error: model: states[0].a.sum() * mu leaves the float range"), err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sticky_chain_runs(tmp_path, command):
+    # power iteration did not converge on this chain, and both commands exited 2
+    sticky = [[0.999, 0.0005, 0.0005], [0.001, 0.998, 0.001], [0.002, 0.002, 0.996]]
+    path = example_with(tmp_path, lambda doc: doc["model"].update(transition=sticky))
+    result, err = run_without_warnings([command, "--config", path])
+    assert result == 0, err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -444,6 +444,19 @@ def test_filter_run_needs_a_method():
         FilterRun(3, np.zeros(0, dtype=bool))
 
 
+@pytest.mark.parametrize("field", ["optimal_predictive", "optimal_posterior",
+                                   "nonparametric_predictive", "nonparametric_posterior"])
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.5, 0.5], [-1e-3, 0.5, 0.501],
+                                     [0.25, 0.25, 0.5 + 1e-9]], ids=["nan", "negative", "sum"])
+def test_filter_run_rejects_a_row_that_is_no_probability_vector(field, bad_row):
+    arrays = {name: np.full((4, 3), 1.0 / 3.0) for name in (
+        "optimal_predictive", "optimal_posterior", "nonparametric_predictive",
+        "nonparametric_posterior")}
+    arrays[field][2] = bad_row
+    with pytest.raises(ValueError, match=rf"^{field} at step n = 9 is not a probability vector"):
+        FilterRun(7, np.zeros(4, dtype=bool), **arrays)
+
+
 def test_wrong_history_length_raises_through_per_step_functions():
     model = example_model()
     for history in (np.array([0.1]), np.array([0.1, 0.2, 0.3])):

@@ -135,6 +135,54 @@ class TestStationaryDistribution:
         pi = stationary_distribution(TransitionMatrix([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-10)
 
+    def test_sticky_chain(self):
+        # 10,000 power-iteration steps did not reach a 1e-13 step on this chain
+        pi = stationary_distribution(TransitionMatrix([[0.999, 0.001], [0.002, 0.998]]))
+        np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-15, 1e-17])
+    def test_switching_below_the_resolution_of_the_diagonal(self, eps):
+        # 1 - p[i, i] keeps at most a few digits of eps (none at 1e-17, where p[i, i] == 1.0);
+        # the off-diagonal entries keep all of them, and no pivot may be taken from the diagonal
+        for P, expected in (([[1.0 - eps, eps], [eps, 1.0 - eps]], [0.5, 0.5]),
+                            ([[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]], [2 / 3, 1 / 3])):
+            pi = stationary_distribution(TransitionMatrix(P))
+            np.testing.assert_allclose(pi, expected, rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def balance_solve(P):
+        """Stationary distribution by one LAPACK solve of the balance equations pi (P - I) = 0,
+        the last replaced by sum(pi) = 1 (they sum to zero); the diagonal of P - I is minus
+        each row's off-diagonal sum, as 1 - p[i, i] would cancel digits on sticky chains."""
+        M = len(P)
+        off = np.where(np.eye(M, dtype=bool), 0.0, P)
+        A = off.T - np.diag(off.sum(axis=1))
+        A[-1] = 1.0
+        return np.linalg.solve(A, np.eye(M)[-1])
+
+    def test_balance_solve_oracle_solves_the_example(self):
+        np.testing.assert_allclose(self.balance_solve(EXAMPLE_P), EXAMPLE_PI, rtol=1e-14)
+
+    def test_random_sticky_chains_satisfy_balance_equations(self):
+        """1,500 irreducible chains, M 2-8, each row switching with probability between
+        s/2 and s for s log-uniform on [2e-9, 0.5]: from 0.5 down to 1e-9."""
+        rng = np.random.default_rng(14)
+        for _ in range(1500):
+            M = int(rng.integers(2, 9))
+            support = rng.random((M, M)) < rng.uniform(0.2, 1.0)
+            support[np.arange(M), (np.arange(M) + 1) % M] = True  # a cycle through every state
+            np.fill_diagonal(support, False)
+            w = np.where(support, rng.uniform(0.5, 1.0, (M, M)), 0.0)
+            s = 10.0 ** rng.uniform(np.log10(2e-9), np.log10(0.5))
+            switch = s * rng.uniform(0.5, 1.0, (M, 1))
+            P = switch * w / w.sum(axis=1, keepdims=True)
+            P[np.arange(M), np.arange(M)] = 1.0 - P.sum(axis=1)
+            pi = stationary_distribution(TransitionMatrix(P))
+            assert pi.min() >= 0.0
+            assert abs(pi.sum() - 1.0) <= 1e-15
+            assert np.abs(pi @ P - pi).sum() <= 1e-14
+            np.testing.assert_allclose(pi, self.balance_solve(P), rtol=1e-12, atol=0.0)
+
     def test_model_caches_same_bits_read_only(self):
         model = example_model()
         pi = model.stationary
