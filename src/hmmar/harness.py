@@ -189,10 +189,12 @@ def _run_block(task) -> list[dict]:
         if not peak <= limit:
             raise ConfigError(f"model: the series of seed {config.seed + r} reaches {peak:.3g}, "
                               f"past {limit:.3g}, where the filters' arithmetic overflows")
-        try:
-            h_plus = oversmoothed_bandwidth(embed(traj.x, d, config.l)) if floor else math.inf
-        except ValueError:  # a constant series
-            h_plus = 0.0
+        if not floor:
+            continue
+        try:  # the series is finite and long enough, so only one with no spread fails here
+            h_plus = oversmoothed_bandwidth(embed(traj.x, d, config.l))
+        except ValueError as exc:
+            raise ConfigError(f"model: the series of seed {config.seed + r}: {exc}") from None
         if not h_plus >= floor:
             raise ConfigError(f"model: the series of seed {config.seed + r} has h_plus "
                               f"{h_plus:.3g}, below {floor:.3g}, where UCV's 1/h^{d} overflows")

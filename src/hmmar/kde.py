@@ -194,7 +194,9 @@ def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     around its best point k to 1e-4 h_plus.  Each score evaluation reuses the
     once-sorted distances and skips the exact-zero pairs.
     """
-    h_plus = oversmoothed_bandwidth(sample)  # rejects fewer than two embedded vectors
+    if sample.N < 2:
+        raise ValueError("bandwidth selection needs at least two embedded vectors")
+    h_plus = oversmoothed_bandwidth(sample)
     score = partial(ucv_objective, sample)
     grid = np.geomspace(GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
     k = int(np.argmin([score(h) for h in grid]))

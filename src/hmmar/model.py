@@ -180,8 +180,10 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
     """Stationary distribution pi with pi @ P = pi, by GTH elimination.
 
     Grassmann-Taksar-Heyman elimination takes each pivot as a row's off-diagonal sum, so
-    no digit cancels, however sticky the chain.  A reducible chain raises a ValueError:
-    its boolean reachability matrix, squared M.bit_length() times, is not all True.
+    no digit cancels, however sticky the chain.  Every stored entry is a probability and
+    pi's largest entry stays 1 until the end, so nothing overflows.  A reducible chain
+    raises a ValueError (its boolean reachability matrix, squared M.bit_length() times,
+    is not all True), and so does one that rounding splits: flows below the least float.
     """
     P = t.p
     reach = (P > 0.0) | np.eye(t.M, dtype=bool)
@@ -189,13 +191,19 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
         reach = reach @ reach
     if not reach.all():
         raise ValueError("chain is reducible: stationary distribution is not unique")
-    A = P.copy()
+    A, exits = P.copy(), np.ones(t.M)
     for k in range(t.M - 1, 0, -1):  # censor state k: its flows pass to states 0..k-1
-        A[:k, k] /= A[k, :k].sum()
+        exits[k] = A[k, :k].sum()
+        A[k, :k] /= exits[k] or 1.0  # where k goes once it leaves (nowhere if exits underflow)
         A[:k, :k] += np.outer(A[:k, k], A[k, :k])
     pi = np.ones(t.M)
-    for k in range(1, t.M):
-        pi[k] = pi[:k] @ A[:k, k]
+    for k in range(1, t.M):  # pi[k] = pi[:k] @ A[:k, k] / exits[k], all scaled to max 1
+        inflow = pi[:k] @ A[:k, k]
+        scale = max(exits[k], inflow)
+        if scale == 0.0:
+            raise ValueError(f"chain is reducible in float arithmetic at state {k + 1}")
+        pi[:k] *= exits[k] / scale
+        pi[k] = inflow / scale
     return pi / pi.sum()
 
 

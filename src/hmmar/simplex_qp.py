@@ -82,9 +82,11 @@ def _projected_gradient(C: np.ndarray, c: np.ndarray) -> np.ndarray:
     u = np.full(M, 1.0 / M)
     for _ in range(_PG_MAX_ITER):
         grad = 2.0 * (C @ u - c)
-        u, prev = _project_simplex(u - step * grad), u
-        if np.linalg.norm(prev - u) / step < _PG_TOL:
+        nxt = _project_simplex(u - step * grad)
+        if np.linalg.norm(u - nxt) / step < _PG_TOL:
+            u = nxt
             break
+        u = nxt
     return u
 
 
@@ -145,7 +147,8 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
         sol = _enumerate_kkt(C, c, max(1.0, *map(abs, flat)))
         if sol is not None:
             return sol
-    u = _projected_gradient(C, c)  # on the simplex already: _project_simplex clips at 0
+    u = _projected_gradient(C, c)
+    u = np.maximum(u, 0.0)
     return SimplexPoint(u=u / u.sum(), lam=None, fallback=True)
 
 

@@ -166,9 +166,8 @@ def constant_series(doc):
     (scaled(1e-100), "both", 2),  # exited 3: overflow in UCV's 1/h^3
     (scaled(1e-100), "nonparametric", 2),
     (scaled(1e-90), "both", 0),  # h_plus clears the floor
-    (constant_series, "both", 2),  # exited 3: "degenerate sample"
 ], ids=["tiny-both", "tiny-nonparametric", "tiny-optimal", "1e-100-both",
-        "1e-100-nonparametric", "1e-90-both", "constant-both"])
+        "1e-100-nonparametric", "1e-90-both"])
 def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
     path = example_with(tmp_path, edit)
     assert run_without_warnings(["validate", "--config", path])[0] == 0
@@ -176,6 +175,17 @@ def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
     assert result == code, err
     if code == 2:
         assert err.startswith("config error: model: the series of seed 0 has h_plus "), err
+
+
+@pytest.mark.parametrize("mode,code", [("both", 2), ("nonparametric", 2), ("optimal", 0)])
+def test_constant_series_exits_2(tmp_path, mode, code):
+    # exited 3 with UCV's "degenerate sample"; the optimal filter needs no spread
+    path = example_with(tmp_path, constant_series)
+    result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
+    assert result == code, err
+    if code == 2:
+        assert err.rstrip() == ("config error: model: the series of seed 0: "
+                                "degenerate sample: all coordinates are constant"), err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -194,6 +204,21 @@ def test_sticky_chain_runs(tmp_path, command):
     sticky = [[0.999, 0.0005, 0.0005], [0.001, 0.998, 0.001], [0.002, 0.002, 0.996]]
     path = example_with(tmp_path, lambda doc: doc["model"].update(transition=sticky))
     result, err = run_without_warnings([command, "--config", path])
+    assert result == 0, err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("transition", [
+    [[0.5, 0.5, 0.0], [1e-160, 0.5, 0.5], [0.0, 1e-160, 1.0]],
+    [[0.5, 0.5], [1e-309, 1.0]],
+], ids=["1e-160", "1e-309"])
+def test_chain_with_exits_below_the_float_range_runs(tmp_path, command, transition):
+    # a stationary distribution whose elimination divided by these exits came out NaN:
+    # validate passed and run exited 3 with an IndexError from the initial-state draw
+    def edit(doc):
+        doc["model"].update(transition=transition)
+        del doc["model"]["states"][len(transition):]
+    result, err = run_without_warnings([command, "--config", example_with(tmp_path, edit)])
     assert result == 0, err
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,45 @@ class TestStationaryDistribution:
             assert abs(pi.sum() - 1.0) <= 1e-15
             assert np.abs(pi @ P - pi).sum() <= 1e-14
             np.testing.assert_allclose(pi, self.balance_solve(P), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("P,expected", [
+        # dividing by these exits instead of into them overflowed: pi came out [0, 0, nan]
+        ([[0.5, 0.5, 0.0], [1e-160, 0.5, 0.5], [0.0, 1e-160, 1.0]], [4e-320, 2e-160, 1.0]),
+        ([[0.5, 0.5], [1e-309, 1.0]], [2e-309, 1.0]),
+        # censoring state 3 rounds state 2's way to state 1 (1e-200 * 1e-200) to 0: a zero pivot
+        ([[0.5, 0.5, 0.0], [0.0, 1.0, 1e-200], [1e-200, 1.0, 0.0]], [0.0, 1.0, 1e-200]),
+    ], ids=["1e-160", "1e-309", "zero-pivot"])
+    def test_exits_below_the_float_range(self, P, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = stationary_distribution(TransitionMatrix(P))
+        np.testing.assert_allclose(pi, expected, rtol=1e-14, atol=1e-322)
+
+    def test_chain_split_by_rounding_rejected(self):
+        # states 1 and 2 reach each other only through 5e-324 * 0.5, which rounds to 0
+        P = [[1.0, 0.0, 5e-324], [0.0, 1.0, 5e-324], [0.5, 0.5, 0.0]]
+        with pytest.raises(ValueError, match="reducible in float arithmetic at state 2"):
+            stationary_distribution(TransitionMatrix(P))
+
+    def test_random_chains_spanning_the_float_range(self):
+        """2,000 irreducible chains, M 2-6, off-diagonal entries log-uniform down to 1e-5,
+        1e-50, 1e-150, 1e-300 or 1e-320: no warning, and each state's inflow matches its
+        outflow to 1e-13 of the total flow."""
+        rng = np.random.default_rng(141)
+        for _ in range(2000):
+            M = int(rng.integers(2, 7))
+            lowest = rng.choice([-5.0, -50.0, -150.0, -300.0, -320.0])
+            off = 10.0 ** rng.uniform(lowest, 0.0, (M, M)) * (rng.random((M, M)) < 0.6)
+            off[np.arange(M), (np.arange(M) + 1) % M] = 10.0 ** rng.uniform(lowest, 0.0, M)
+            np.fill_diagonal(off, 0.0)
+            off *= 0.5 / np.maximum(off.sum(axis=1, keepdims=True), 0.5)
+            P = off + np.diag(1.0 - off.sum(axis=1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pi = stationary_distribution(TransitionMatrix(P))
+            assert pi.min() >= 0.0 and abs(pi.sum() - 1.0) <= 1e-15
+            outflow = pi * off.sum(axis=1)
+            assert np.abs(pi @ off - outflow).sum() <= 1e-13 * outflow.sum()
 
     def test_model_caches_same_bits_read_only(self):
         model = example_model()
