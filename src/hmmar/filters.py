@@ -120,10 +120,11 @@ def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
 
 def _emission_overlaps(m: list, v: list) -> np.ndarray:
     """C of :func:`emission_mixture_problem` from the states' AR means and variances."""
-    C = np.empty((len(m), len(m)))
-    for i, j in combinations_with_replacement(range(len(m)), 2):
-        C[i, j] = C[j, i] = product_integral(m[i], v[i], m[j], v[j])
-    return C
+    M = len(m)
+    C = [0.0] * (M * M)
+    for i, j in combinations_with_replacement(range(M), 2):
+        C[i * M + j] = C[j * M + i] = product_integral(m[i], v[i], m[j], v[j])
+    return np.array(C).reshape(M, M)
 
 
 def _kernel_column(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,

@@ -245,16 +245,16 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     s = np.array(chain)
 
     # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from
-    # it, and every simulated trajectory's bytes depend on this expression.
-    mu, a, b = model.mu, model.a, model.b
-    xi = rng_noise.standard_normal(total)
+    # it, and every simulated trajectory's bytes depend on this expression.  The
+    # dot stays numpy's: OpenBLAS fuses its multiply-adds, a Python sum would not.
+    mu, a = model.mu.tolist(), list(model.a)
+    noise = model.b[s] * rng_noise.standard_normal(total)  # as a list, 0.3 MB more peak RSS
 
     x = np.empty(p + total)
-    x[:p] = mu[s[0]]
-    for k in range(total):
-        m = s[k]
+    x[:p] = mu[chain[0]]
+    for k, (m, e) in enumerate(zip(chain, noise)):
         lags = x[k:p + k][::-1]  # x[n-1], ..., x[n-p]
-        x[p + k] = mu[m] + a[m] @ (lags - mu[m]) + b[m] * xi[k]
+        x[p + k] = mu[m] + a[m] @ (lags - mu[m]) + e
 
     return Trajectory(s=s[burn_in:] + 1, x=x[p + burn_in:])
 

@@ -51,7 +51,7 @@ class SimplexPoint:
 
 
 def is_positive_definite(C: np.ndarray) -> bool:
-    """True iff the symmetric matrix C factors with pivots above 1e-12."""
+    """True iff the symmetric matrix C has a Cholesky factor with every pivot above 1e-6."""
     C = np.asarray(C, dtype=float)
     try:
         L = np.linalg.cholesky(C)
@@ -91,28 +91,30 @@ def _projected_gradient(C: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _active_set_table(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _active_set_table(M: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Per-M constants of the reduced KKT systems, one row k per active set.
 
-    ``active[k, i]`` holds u_i = 0 (lambda_i is the unknown).  Rows follow
+    ``active[k][i]`` holds u_i = 0 (lambda_i is the unknown).  Rows follow
     the order sets are tried: popcount, then bitmask value.  The all-active
     set is left out; its sum(u) = 1 row is zero.  ``takes_c[k, 0, i]`` is
-    ``~active[k, i]``: the columns of system k that hold C[:, i].
-    ``floor[k, i]`` is the lowest feasible value of unknown i.  ``base[k]``
-    is system k less C: column i is (-e_i, 0) if active, else (0, 1) with
-    C[:, i] filled in; the last column (lambda_eq) is (1, ..., 1, 0).
+    ``not active[k][i]``: the columns of system k that hold C[:, i].
+    ``floor[k, i, 0]`` is the lowest feasible value of unknown i (-inf for
+    lambda_eq, which has no sign).  ``base[k]`` is system k less C: column i
+    is (-e_i, 0) if active, else (0, 1) with C[:, i] filled in; the last
+    column (lambda_eq) is (1, ..., 1, 0).
     """
     masks = sorted(range((1 << M) - 1), key=lambda m: (m.bit_count(), m))
     active = (np.array(masks)[:, None] >> np.arange(M)) & 1 == 1
     takes_c = ~active[:, None, :]
     floor = np.where(active, -_LAMBDA_TOL, -_U_FEAS_TOL)
+    floor = np.concatenate([floor, np.full((len(masks), 1), -np.inf)], axis=1)[:, :, None]
     base = np.zeros((len(masks), M + 1, M + 1))
     base[:, :M, :M] = np.where(active[:, None, :], -np.eye(M), 0.0)
     base[:, M, :M] = ~active
     base[:, :M, M] = 1.0
-    for table in (active, takes_c, floor, base):
+    for table in (takes_c, floor, base):
         table.setflags(write=False)
-    return active, takes_c, floor, base
+    return active.tolist(), takes_c, floor, base
 
 
 def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
@@ -135,8 +137,8 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
         raise ValueError(f"c must have length {M}, got shape {c.shape}")
     if M < 2:
         raise ValueError(f"need at least 2 states, got M = {M}")
-    rows = C.tolist()
-    flat = [*c.tolist(), *chain.from_iterable(rows)]
+    rows, c_list = C.tolist(), c.tolist()
+    flat = [*c_list, *chain.from_iterable(rows)]
     if not all(map(math.isfinite, flat)):
         raise ValueError("C and c must be finite")
     asym = max(abs(rows[i][j] - rows[j][i]) for i in range(M) for j in range(i))
@@ -144,34 +146,31 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
         raise ValueError(f"C must be symmetric within {_SYM_TOL:g}; max asymmetry {asym:.3e}")
 
     if is_positive_definite(C):
-        sol = _enumerate_kkt(C, c, max(1.0, *map(abs, flat)))
+        sol = _enumerate_kkt(C, c_list, max(1.0, *map(abs, flat)))
         if sol is not None:
             return sol
     u = _projected_gradient(C, c)
-    u = np.maximum(u, 0.0)
     return SimplexPoint(u=u / u.sum(), lam=None, fallback=True)
 
 
-def _enumerate_kkt(C: np.ndarray, c: np.ndarray, scale: float) -> Optional[SimplexPoint]:
-    M = c.shape[0]
+def _enumerate_kkt(C: np.ndarray, c: list, scale: float) -> Optional[SimplexPoint]:
+    M = len(c)
     active, takes_c, floor, base = _active_set_table(M)
     A = base.copy()
     np.copyto(A[:, :M, :M], C, where=takes_c)
-    rhs = np.empty((M + 1, 1))
-    rhs[:M, 0] = c
-    rhs[M, 0] = 1.0
+    rhs = np.array([*c, 1.0])[:, None]
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         return None
 
-    rho = x[:, :, 0]
-    signs_ok = np.isfinite(rho).all(axis=1) & (rho[:, :M] >= floor).all(axis=1)
-    for k in np.flatnonzero(signs_ok).tolist():
+    # NaN fails every comparison; a row holding +-inf is skipped before the residual
+    for k in (x >= floor).all(axis=(1, 2)).nonzero()[0].tolist():
+        r = x[k, :, 0].tolist()
         # a large residual marks a nearly singular system solved to garbage
-        if np.abs(A[k] @ x[k] - rhs).max() <= 1e-8 * scale:
-            u = np.maximum(np.where(active[k], 0.0, rho[k, :M]), 0.0)
-            lam = rho[k].copy()
-            lam[:M][~active[k]] = 0.0
+        if all(map(math.isfinite, r)) and np.abs(A[k] @ x[k] - rhs).max() <= 1e-8 * scale:
+            # v > 0.0 clips -0.0 to 0.0, as np.maximum(v, 0.0) does; max(v, 0.0) would not
+            u = np.array([v if v > 0.0 and not a else 0.0 for a, v in zip(active[k], r)])
+            lam = np.array([v if a else 0.0 for a, v in zip(active[k], r)] + [r[M]])
             return SimplexPoint(u=u / u.sum(), lam=lam, fallback=False)
     return None

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, model_from_dict, simulate,
                          stationary_distribution)
+from simulate_reference import reference_simulate
 
 EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 # solved by hand from pi P = pi, sum(pi) = 1
@@ -330,6 +331,22 @@ class TestSimulate:
             short, long_ = simulate(model, n, burn_in, seed), simulate(model, longer, burn_in, seed)
             np.testing.assert_array_equal(short.s, long_.s[:n])
             np.testing.assert_array_equal(short.x, long_.x[:n])
+
+    def test_matches_reference_loop_bit_for_bit(self):
+        # 240 random models: M 1-5, p 1-4, burn-in 0 and 100, with and without
+        # an initial distribution
+        rng = np.random.default_rng(2026)
+        for case in range(240):
+            M, p = case % 5 + 1, case // 5 % 4 + 1
+            states = [ArStateParams(float(rng.normal()), (rng.uniform(-0.5, 0.5, p) / p).tolist(),
+                                    float(rng.uniform(0.05, 1.0))) for _ in range(M)]
+            initial = rng.dirichlet(np.ones(M)).tolist() if case // 20 % 2 else None
+            model = SwitchingArModel(TransitionMatrix(rng.dirichlet(np.ones(M), size=M).tolist()),
+                                     states, initial_dist=initial)
+            burn_in = 100 * (case // 40 % 2)
+            got = simulate(model, 150, burn_in, case)
+            want = reference_simulate(model, 150, burn_in, case)
+            assert np.array_equal(got.s, want.s) and np.array_equal(got.x, want.x), case
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

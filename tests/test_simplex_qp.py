@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hmmar.harness import load_config, override, run_experiment
 from hmmar.simplex_qp import (SimplexPoint, _active_set_table, _project_simplex,
                               _projected_gradient, is_positive_definite,
                               solve_kkt)
@@ -25,6 +28,15 @@ def kkt_residuals(C, c, sol):
     comp = sol.lam[:-1] * sol.u
     dual = np.minimum(sol.lam[:-1], 0.0)
     return (np.max(np.abs(stat)), np.max(np.abs(comp)), np.max(np.abs(dual)))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_same_point(sol, ref):
+    """Equal u and lambda, bit for bit: np.array_equal alone takes -0.0 for 0.0."""
+    for got, want in ((sol.u, ref.u), (sol.lam, ref.lam)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSolveKktRejects:
@@ -136,6 +148,22 @@ class TestSolveKkt:
             assert np.all(u >= 0.0)
             assert abs(u.sum() - 1.0) < 1e-10
 
+    def test_exactly_singular_reduced_system_falls_back(self):
+        # C = a * ones is singular, but the rounding of its Cholesky factor leaves
+        # a last pivot of 4.3e-5, so it passes the definiteness test; its two
+        # equal rows then make the stacked solve raise, and the step falls back
+        C, c = np.full((2, 2), 8912896.0), np.array([1.0, 3.0])
+        assert is_positive_definite(C)
+        _, takes_c, _, base = _active_set_table(2)
+        A = base.copy()
+        np.copyto(A[:, :2, :2], C, where=takes_c)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, np.ones((3, 1)))
+        sol = solve_kkt(C, c)
+        u = _projected_gradient(C, c)
+        assert sol.fallback and sol.lam is None
+        assert np.array_equal(sol.u, u / u.sum())
+
     def test_singular_c_falls_back_symmetrically(self):
         # rank-1 C: objective is constant in directions (1,-1); the
         # projected-gradient fallback keeps the symmetric point
@@ -151,7 +179,7 @@ class TestSolveKkt:
 class TestStackedEnumeration:
     def test_mask_table_follows_reference_order(self):
         for M in range(2, 7):
-            masks = _active_set_table(M)[0].astype(int) @ (1 << np.arange(M))
+            masks = np.array(_active_set_table(M)[0], dtype=int) @ (1 << np.arange(M))
             assert masks.tolist() == reference_mask_order(M)[:-1]  # all-active dropped
 
     def test_bit_identical_to_per_mask_reference(self):
@@ -174,10 +202,37 @@ class TestStackedEnumeration:
                 c = rng.uniform(-1.0, 2.0, size=M)
             sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
             assert ref is not None and not sol.fallback
-            assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.lam, ref.lam)
+            assert_same_point(sol, ref)
             free = int(np.count_nonzero(sol.u))
             kinds["interior" if free == M else "vertex" if free == 1 else "face"] += 1
         assert min(kinds.values()) >= 50, kinds
+
+    def test_free_coordinate_solved_to_minus_zero_clips_to_plus_zero(self):
+        # the all-free system solves u_1 to -0.0; the clip must give +0.0, as
+        # np.maximum does (Python's max(-0.0, 0.0) is -0.0)
+        C, c = np.array([[3.0, -4.0], [-4.0, 9.0]]), np.array([-4.5, 8.5])
+        sol = solve_kkt(C, c)
+        assert_same_point(sol, reference_enumerate_kkt(C, c))
+        assert sol.u.tolist() == [0.0, 1.0] and not np.signbit(sol.u).any()
+
+    @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense"])
+    def test_filter_qps_match_per_mask_reference(self, name, monkeypatch):
+        # every QP the nonparametric filter solves in two repeats of a golden config
+        import hmmar.filters as filters
+        qps = []
+
+        def recorded(C, c):
+            qps.append((C, c))
+            return solve_kkt(C, c)
+
+        monkeypatch.setattr(filters, "solve_kkt", recorded)
+        run_experiment(override(load_config(DATA / f"{name}.json"), repeats=2))
+        assert len(qps) >= 400
+        for C, c in qps:
+            sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
+            assert sol.fallback == (ref is None)
+            if ref is not None:
+                assert_same_point(sol, ref)
 
 
 class TestBruteForce:
