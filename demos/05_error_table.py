@@ -6,10 +6,11 @@ standard errors.  A reduced repeat count keeps this demo quick; the full
 
     hmmar run --config src/hmmar/example.json --out results/
 """
-from hmmar import example_config, run_experiment
-from hmmar.harness import override
+from dataclasses import replace
 
-config = override(example_config(), repeats=10)
+from hmmar import example_config, run_experiment
+
+config = replace(example_config(), repeats=10)
 print(f"running {config.repeats} repeats (seeds {config.seed}..{config.seed + config.repeats - 1})...")
 summary = run_experiment(config)
 

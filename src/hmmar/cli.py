@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .filters import MODES
-from .harness import ConfigError, load_config, override, run_experiment
+from .harness import ConfigError, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,11 +22,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a Monte-Carlo experiment")
     run_p.add_argument("--config", required=True, help="experiment config JSON")
-    run_p.add_argument("--seed", type=int, default=None, help="override base seed")
-    run_p.add_argument("--repeats", type=int, default=None, help="override repeat count")
-    run_p.add_argument("--mode", choices=MODES, default=None, help="override method selection")
-    run_p.add_argument("--tau", type=int, default=None, help="override conditioning lag")
-    run_p.add_argument("--stride", type=int, default=None, help="override embedding stride l")
+    run_p.add_argument("--seed", type=int, help="override base seed")
+    run_p.add_argument("--repeats", type=int, help="override repeat count")
+    run_p.add_argument("--mode", choices=MODES, help="override method selection")
+    run_p.add_argument("--tau", type=int, help="override conditioning lag")
+    run_p.add_argument("--stride", type=int, dest="l", help="override embedding stride l")
     run_p.add_argument("--out", default=None, help="directory for summary.csv (and traces)")
     run_p.add_argument("--trace", action="store_true", help="write per-repeat trace CSVs")
 
@@ -49,8 +50,8 @@ def main(argv=None) -> int:
             print(f"config ok: M={config.model.M}, n_total={config.n_total}, "
                   f"eval_window={list(config.eval_window)}, mode={config.mode}")
             return 0
-        config = override(config, seed=args.seed, repeats=args.repeats,
-                          mode=args.mode, tau=args.tau, l=args.stride)
+        changes = {k: getattr(args, k) for k in ("seed", "repeats", "mode", "tau", "l")}
+        config = replace(config, **{k: v for k, v in changes.items() if v is not None})
         if args.trace and args.out is None:
             raise ConfigError("--trace requires --out")
         summary = run_experiment(config, out_dir=args.out, trace=args.trace)

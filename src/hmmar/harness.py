@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import MODES, FilterRun, run_filters, warmup_threshold
-from .kde import GRID_BOTTOM, embed, oversmoothed_bandwidth
+from .kde import embed, oversmoothed_bandwidth
 from .model import SwitchingArModel, Trajectory, check_fields, model_from_dict, simulate
 
 #: (method, task, FilterRun field scored) of each summary row, in output order.  A
@@ -174,14 +174,12 @@ def _run_block(task) -> list[dict]:
     # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
     # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
     # at most hi squares, and the emissions divide one by 2 b^2.  UCV's score scales by
-    # N^2 (4 pi)^(d/2) h^d, d = tau + 1, with h <= h_plus <= sqrt(2) peak.  From its grid bottom
-    # GRID_BOTTOM h_plus, h^d stays a normal float (1/h^d < fmax) while h_plus >= floor.
+    # N^2 (4 pi)^(d/2) h^d, d = tau + 1, with h <= h_plus <= sqrt(2) peak.
     fmax, reach = sys.float_info.max, 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
     limit = math.sqrt(fmax * min(1.0 / hi, 2.0 * model.b2.min())) / reach
-    d, floor = config.tau + 1, 0.0
+    d = config.tau + 1
     if config.mode != "optimal":
         limit = min(limit, (fmax / hi / hi) ** (1.0 / d) / math.sqrt(8.0 * math.pi))
-        floor = sys.float_info.min ** (1.0 / d) / GRID_BOTTOM
     with np.errstate(over="ignore", invalid="ignore"):  # such a series is rejected below
         trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
     for r, traj in zip(repeats, trajectories):
@@ -189,15 +187,11 @@ def _run_block(task) -> list[dict]:
         if not peak <= limit:
             raise ConfigError(f"model: the series of seed {config.seed + r} reaches {peak:.3g}, "
                               f"past {limit:.3g}, where the filters' arithmetic overflows")
-        if not floor:
-            continue
-        try:  # the series is finite and long enough, so only one with no spread fails here
-            h_plus = oversmoothed_bandwidth(embed(traj.x, d, config.l))
+        try:  # the series is finite and long enough: only no spread or too narrow a one fails
+            if config.mode != "optimal":
+                oversmoothed_bandwidth(embed(traj.x, d, config.l))
         except ValueError as exc:
             raise ConfigError(f"model: the series of seed {config.seed + r}: {exc}") from None
-        if not h_plus >= floor:
-            raise ConfigError(f"model: the series of seed {config.seed + r} has h_plus "
-                              f"{h_plus:.3g}, below {floor:.3g}, where UCV's 1/h^{d} overflows")
     runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
                        mode=config.mode)
     results = []
@@ -321,8 +315,3 @@ def emit_trace(trajectory: Trajectory, run: FilterRun, path) -> None:
                 fh.write("\n".join(chunk) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace file {path}: {exc}") from exc
-
-
-def override(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Non-destructive update with re-validation (used by the CLI)."""
-    return replace(config, **{k: v for k, v in changes.items() if v is not None})

@@ -13,6 +13,7 @@ pairs whose kernel is exactly 0.0 and takes one exp per remaining pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -21,7 +22,7 @@ import numpy as np
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
 #: Points of the log-spaced grid that brackets the UCV minimum.
 _GRID_POINTS = 32
-GRID_BOTTOM = 1e-6  # lowest h of that grid, as a fraction of h_plus
+_GRID_BOTTOM = 1e-6  # lowest h of that grid, as a fraction of h_plus
 #: Cap on the score evaluations of the Brent refinement.
 _MAX_ITER = 200
 #: Rows per block of EmbeddedSample.sorted_sq_dists.
@@ -78,8 +79,8 @@ class Bandwidth:
     h: float
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
 
 def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
@@ -131,14 +132,20 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
-    """Oversmoothed bandwidth h_plus = (4 / (N (d+2)))^(1/(d+4)) * max_k sigma_k."""
+    """Oversmoothed bandwidth h_plus = (4 / (N (d+2)))^(1/(d+4)) * max_k sigma_k; a ValueError
+    if the sample has no spread, or so little that h^d underflows on UCV's grid."""
     if sample.N < 2:
         raise ValueError("need at least two embedded vectors")
     sigma = sample.vectors.std(axis=0, ddof=1)
     sig_max = float(sigma.max())
     if not sig_max > 0.0:
         raise ValueError("degenerate sample: all coordinates are constant")
-    return (4.0 / (sample.N * (sample.d + 2))) ** (1.0 / (sample.d + 4)) * sig_max
+    h_plus = (4.0 / (sample.N * (sample.d + 2))) ** (1.0 / (sample.d + 4)) * sig_max
+    floor = sys.float_info.min ** (1.0 / sample.d) / _GRID_BOTTOM
+    if not h_plus >= floor:
+        raise ValueError(f"h_plus {h_plus:.3g} is below {floor:.3g}, "
+                         f"where UCV's 1/h^{sample.d} overflows")
+    return h_plus
 
 
 def _brent(f, a: float, b: float, tol: float) -> float:
@@ -194,11 +201,9 @@ def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     around its best point k to 1e-4 h_plus.  Each score evaluation reuses the
     once-sorted distances and skips the exact-zero pairs.
     """
-    if sample.N < 2:
-        raise ValueError("bandwidth selection needs at least two embedded vectors")
     h_plus = oversmoothed_bandwidth(sample)
     score = partial(ucv_objective, sample)
-    grid = np.geomspace(GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
+    grid = np.geomspace(_GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
     k = int(np.argmin([score(h) for h in grid]))
     h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
     return Bandwidth(h=min(h, h_plus))

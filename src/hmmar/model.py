@@ -22,9 +22,9 @@ _ROW_SUM_TOL = 1e-12
 
 
 def _is_number(value) -> bool:
-    """True for a float, or a real non-bool (`true` is no coefficient) that a float holds."""
+    """True for a finite real that a float holds, not a bool (`true` is no coefficient)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return isinstance(value, float) or real and abs(value) <= np.finfo(float).max.item()
+    return real and abs(value) <= np.finfo(float).max.item()
 
 
 def _number_array(value, name: str) -> np.ndarray:
@@ -46,8 +46,6 @@ class TransitionMatrix:
             raise ValueError(f"transition matrix must be square, got shape {p.shape}")
         if p.shape[0] < 1:
             raise ValueError("transition matrix must have at least one state")
-        if not np.isfinite(p).all():
-            raise ValueError("transition matrix contains non-finite entries")
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
@@ -76,15 +74,11 @@ class ArStateParams:
         self.a = np.atleast_1d(_number_array(self.a, "a"))
         if self.a.ndim != 1:
             raise ValueError("a must be a 1-D coefficient vector")
-        if not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not np.isfinite(self.a).all():
-            raise ValueError(f"a must be finite, got {self.a}")
         with np.errstate(over="ignore", invalid="ignore"):  # a term of every AR mean
             if not np.isfinite(self.a.sum() * self.mu):
                 raise ValueError("a.sum() * mu leaves the float range")
-        if not 0.0 < self.b < np.inf:
-            raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not self.b > 0.0:
+            raise ValueError(f"b must be positive, got {self.b}")
         if not 0.0 < self.b * self.b < np.inf:
             raise ValueError(f"b must have a nonzero square that is finite (b^2 is the "
                              f"emission variance), got {self.b}")

@@ -51,13 +51,15 @@ class SimplexPoint:
 
 
 def is_positive_definite(C: np.ndarray) -> bool:
-    """True iff the symmetric matrix C has a Cholesky factor with every pivot above 1e-6."""
+    """True iff the symmetric matrix C has a Cholesky factor with every squared pivot above
+    1e-12 max(1, max_i C[i, i]), a floor that scales with C as rounding's leftovers do."""
     C = np.asarray(C, dtype=float)
     try:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         return False
-    return all(d * d > 1e-12 for d in L.diagonal().tolist())
+    floor = 1e-12 * max(1.0, *C.diagonal().tolist())
+    return all(d * d > floor for d in L.diagonal().tolist())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

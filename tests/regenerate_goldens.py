@@ -1,7 +1,7 @@
 """Rerun named golden experiments and rewrite, or check, their expected outputs.
 
     PYTHONPATH=src python tests/regenerate_goldens.py golden_example golden_qp_dense
-    PYTHONPATH=src python tests/regenerate_goldens.py --check golden_example golden_qp_dense golden_optimal
+    PYTHONPATH=src python tests/regenerate_goldens.py --check
 
 Each name runs ``data/<name>.json`` with trace files.  Without ``--check`` it
 rewrites ``data/<name>_summary.csv`` and the name's entry in
@@ -9,6 +9,7 @@ rewrites ``data/<name>_summary.csv`` and the name's entry in
 only for a change that moves a golden on purpose, and record what moved.
 With ``--check`` it writes nothing, prints every summary row and trace digest
 that moved, and exits 1 if any did: the bit-identity check for a speed-up.
+``--check`` with no names checks every golden in ``data/golden_traces.json``.
 """
 
 from __future__ import annotations
@@ -64,16 +65,19 @@ def regenerate(name: str, digests: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="+", help="golden names, e.g. golden_example")
+    parser.add_argument("names", nargs="*", help="golden names, e.g. golden_example")
     parser.add_argument("--check", action="store_true",
                         help="write nothing; exit 1 naming every row and digest that moved")
     args = parser.parse_args(argv)
     traces = DATA / "golden_traces.json"
     digests = json.loads(traces.read_text(encoding="utf-8"))
     if args.check:
-        lines = [line for name in args.names for line in moved(name, digests)]
-        print("\n".join(lines) or f"unchanged: {', '.join(args.names)}")
+        names = args.names or list(digests)
+        lines = [line for name in names for line in moved(name, digests)]
+        print("\n".join(lines) or f"unchanged: {', '.join(names)}")
         return 1 if lines else 0
+    if not args.names:
+        parser.error("rewriting needs the names of the goldens to rewrite")
     for name in args.names:
         regenerate(name, digests)
     traces.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

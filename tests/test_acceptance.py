@@ -6,6 +6,7 @@ a module fixture; end to end the module takes a few minutes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hmmar.kde import Bandwidth, EmbeddedSample, embed, oversmoothed_bandwidth, 
     ucv_bandwidth, ucv_objective
 from hmmar.model import simulate, stationary_distribution
 from hmmar.simplex_qp import solve_kkt
-from hmmar.harness import example_config, override, run_experiment
+from hmmar.harness import example_config, run_experiment
 
 from kde_reference import kde_eval
 from lattice_oracle import brute_force_solve, objective
@@ -200,7 +201,7 @@ def test_criterion_7_simplex_invariants(example_run):
 
 
 def test_criterion_8_byte_identical_summaries(tmp_path):
-    config = override(example_config(), repeats=4)
+    config = replace(example_config(), repeats=4)
     run_experiment(config, out_dir=tmp_path / "run1")
     run_experiment(config, out_dir=tmp_path / "run2")
     b1 = (tmp_path / "run1" / "summary.csv").read_bytes()

@@ -174,7 +174,7 @@ def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
     result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
     assert result == code, err
     if code == 2:
-        assert err.startswith("config error: model: the series of seed 0 has h_plus "), err
+        assert err.startswith("config error: model: the series of seed 0: h_plus "), err
 
 
 @pytest.mark.parametrize("mode,code", [("both", 2), ("nonparametric", 2), ("optimal", 0)])
@@ -268,6 +268,16 @@ def test_run_overrides(config_path, tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     assert len(lines) == 3  # header + optimal filtering/prediction only
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--stride", "98", "l = 98 leaves fewer than two delay vectors"),
+    ("--tau", "60", "eval_window start 61 must exceed the warm-up threshold"),
+    ("--seed", "-1", "seed must be >= 0"),
+])
+def test_run_override_flags_reach_the_config(config_path, capsys, flag, value, message):
+    assert main(["run", "--config", config_path, flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_run_with_traces(config_path, tmp_path):

@@ -548,3 +548,12 @@ def test_block_matches_single_trajectory_runs_and_per_step_loops(k, mode, M, p, 
                 continue
             assert np.array_equal(getattr(got, name), getattr(single, name))
             assert np.array_equal(getattr(got, name), rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_default_bandwidth_rejects_too_narrow_series():
+    # UCV's 1/h^3 would overflow on this series; oversmoothed_bandwidth rejects it first
+    x = 1e-110 * np.random.default_rng(0).standard_normal(300)
+    traj = Trajectory(s=np.ones(300, dtype=int), x=x)
+    with pytest.raises(ValueError, match="^h_plus .* is below"):
+        run_filters([traj], example_model(), eval_start=201, mode="nonparametric")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from hmmar.filters import FilterRun, run_filters
 from hmmar.harness import (ConfigError, ExperimentConfig, config_from_dict,
-                           emit_trace, example_config, load_config, override,
+                           emit_trace, example_config, load_config,
                            run_experiment, write_summary)
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate)
@@ -138,11 +139,11 @@ class TestConfigParsing:
 
     def test_override_revalidates(self):
         cfg = config_from_dict(small_doc())
-        cfg2 = override(cfg, repeats=5, mode="optimal")
+        cfg2 = replace(cfg, repeats=5, mode="optimal")
         assert (cfg2.repeats, cfg2.mode) == (5, "optimal")
         assert cfg.repeats == 2  # original untouched
         with pytest.raises(ConfigError):
-            override(cfg, mode="nope")
+            replace(cfg, mode="nope")
 
 
 class TestRunExperiment:

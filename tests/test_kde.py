@@ -304,6 +304,14 @@ class TestOversmoothedBandwidth:
         with pytest.raises(ValueError):
             oversmoothed_bandwidth(sample)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_narrow_sample_rejected(self):
+        # h_plus = 4.39e-111: from the grid bottom 1e-6 h_plus, UCV's h^3 would underflow
+        sample = embed(1e-110 * np.random.default_rng(0).standard_normal(300), d=3, l=1)
+        message = r"^h_plus 4\.39e-111 is below 2\.81e-97, where UCV's 1/h\^3 overflows$"
+        with pytest.raises(ValueError, match=message):
+            oversmoothed_bandwidth(sample)
+
 
 class TestUcvBandwidth:
     def test_clustered_data_prefers_smaller_h(self):
@@ -379,6 +387,20 @@ class TestUcvBandwidth:
         h = ucv_bandwidth(sample).h
         assert grid[max(k - 1, 0)] <= h <= grid[min(k + 1, _GRID_POINTS - 1)]
         assert h <= oversmoothed_bandwidth(sample)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_narrow_series_rejected_and_wider_one_scales(self):
+        # unchecked, 1e-110 gives h/s = 5.3e-7 with only overflow warnings; 1e-90 clears the floor
+        x = np.random.default_rng(0).standard_normal(300)
+        with pytest.raises(ValueError, match="^h_plus .* is below"):
+            ucv_bandwidth(embed(1e-110 * x, d=3, l=1))
+        h = ucv_bandwidth(embed(1e-90 * x, d=3, l=1)).h
+        assert h / 1e-90 == pytest.approx(0.43903354446495685, rel=1e-12)
+
+    def test_infinite_bandwidth_rejected(self):
+        # a run pinned to it would return near-uniform predictive rows, with no error
+        with pytest.raises(ValueError, match="^h must be positive and finite, got inf"):
+            Bandwidth(math.inf)
 
     def test_translation_leaves_selection_unchanged(self):
         rng = np.random.default_rng(13)

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmmar.harness import load_config, override, run_experiment
+from hmmar.harness import load_config, run_experiment
 from hmmar.simplex_qp import (SimplexPoint, _active_set_table, _project_simplex,
                               _projected_gradient, is_positive_definite,
                               solve_kkt)
@@ -150,15 +151,21 @@ class TestSolveKkt:
 
     def test_exactly_singular_reduced_system_falls_back(self):
         # C = a * ones is singular, but the rounding of its Cholesky factor leaves
-        # a last pivot of 4.3e-5, so it passes the definiteness test; its two
-        # equal rows then make the stacked solve raise, and the step falls back
+        # a last pivot of 4.3e-5; its square, 1.85e-9, is below the scaled floor
+        # 1e-12 * 8912896, so the definiteness test rejects C and the step falls back
         C, c = np.full((2, 2), 8912896.0), np.array([1.0, 3.0])
-        assert is_positive_definite(C)
-        _, takes_c, _, base = _active_set_table(2)
-        A = base.copy()
-        np.copyto(A[:, :2, :2], C, where=takes_c)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(A, np.ones((3, 1)))
+        assert np.linalg.cholesky(C)[1, 1] ** 2 > 1e-12
+        assert not is_positive_definite(C)
+        sol = solve_kkt(C, c)
+        u = _projected_gradient(C, c)
+        assert sol.fallback and sol.lam is None
+        assert np.array_equal(sol.u, u / u.sum())
+
+    def test_raising_stacked_solve_falls_back(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        C, c = np.eye(2), np.array([1.0, 3.0])
+        monkeypatch.setattr(np.linalg, "solve", singular)
         sol = solve_kkt(C, c)
         u = _projected_gradient(C, c)
         assert sol.fallback and sol.lam is None
@@ -226,7 +233,7 @@ class TestStackedEnumeration:
             return solve_kkt(C, c)
 
         monkeypatch.setattr(filters, "solve_kkt", recorded)
-        run_experiment(override(load_config(DATA / f"{name}.json"), repeats=2))
+        run_experiment(replace(load_config(DATA / f"{name}.json"), repeats=2))
         assert len(qps) >= 400
         for C, c in qps:
             sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
