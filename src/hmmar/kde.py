@@ -79,8 +79,23 @@ class Bandwidth:
     h: float
 
     def __post_init__(self):
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
+        _check_bandwidth(self.h)
+
+
+def _check_bandwidth(h: float | np.ndarray) -> None:
+    """A ValueError unless 0 < h < inf: a scalar, or every entry of a block's (R, 1) h."""
+    if not np.logical_and(0.0 < h, h < math.inf).all():
+        raise ValueError(f"h must be positive and finite, got {h}")
+
+
+def _delay_columns(x: np.ndarray, n_obs: int, d: int, l: int, cols) -> list[np.ndarray]:
+    """Coordinates j in ``cols`` of the N = 1 + (n_obs - d) // l delay vectors of dimension d,
+    stride l, in x_1^{n_obs}: the strided views ``x[..., j:j + span:l]``, span = (N - 1) l + 1."""
+    if not (l >= 1 and 1 <= d <= n_obs <= x.shape[-1]):
+        raise ValueError(f"need l >= 1 and 1 <= d <= n_obs <= {x.shape[-1]} (the series' length), "
+                         f"got l = {l}, d = {d}, n_obs = {n_obs}")
+    span = (n_obs - d) // l * l + 1
+    return [x[..., j:j + span:l] for j in cols]
 
 
 def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
@@ -88,16 +103,7 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a 1-D series")
-    if d < 1:
-        raise ValueError(f"embedding dimension must be >= 1, got {d}")
-    if l < 1:
-        raise ValueError(f"stride l must be >= 1, got {l}")
-    n_source = x.shape[0]
-    if n_source < d:
-        raise ValueError(f"series of length {n_source} is too short to embed in dimension {d}")
-    N = 1 + (n_source - d) // l
-    idx = l * np.arange(N)[:, None] + np.arange(d)[None, :]
-    return EmbeddedSample(vectors=x[idx])
+    return EmbeddedSample(vectors=np.stack(_delay_columns(x, x.shape[0], d, l, range(d)), axis=1))
 
 
 def _exp_sums(sq: np.ndarray, four_h2: float, buf: np.ndarray) -> tuple[float, float]:
@@ -118,8 +124,7 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     """Unbiased cross-validation score of the scalar bandwidth h."""
     if sample.N < 2:
         raise ValueError("UCV needs at least two embedded vectors")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    _check_bandwidth(h)
     N, d, sq_dists = sample.N, sample.d, sample.sorted_sq_dists
     four_h2 = 4.0 * h * h
     # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
@@ -223,26 +228,14 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int,
     with d = tau + 1), or a block's (R, N) rows, each bit-equal to its own
     call, when ``x`` and ``h`` (R, 1) carry a leading repeat axis.
     """
-    if tau < 1 or l < 1:
-        raise ValueError("tau and l must be >= 1")
-    if not np.all(np.greater(h, 0.0)):
-        raise ValueError(f"h must be positive, got {h}")
-    d = tau + 1
-    if n - 1 < d:
-        raise ValueError(f"need n - 1 >= tau + 1 = {d} observations before index n = {n}")
+    _check_bandwidth(h)
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] < n - 1:
-        raise ValueError(f"series has {x.shape[-1]} values; index n = {n} needs at least {n - 1}")
-    xs = x[..., :n - 1]
-    N = 1 + (n - 1 - d) // l
-
-    # Squared distance of window i (x_{il+1}, ..., x_{il+tau}) to the query,
-    # summed one coordinate at a time over strided slices of xs.
-    span = (N - 1) * l + 1
-    query = xs[..., n - 1 - tau:n - 1]
-    sq_dist = np.square(xs[..., :span:l] - query[..., :1])
+    windows = _candidate_columns(x, n, tau, l, range(tau))
+    # Squared distance of each window to the query (x_{n-tau}, ..., x_{n-1}),
+    # summed one coordinate at a time.
+    sq_dist = np.square(windows[0] - x[..., n - 1 - tau, None])
     for j in range(1, tau):
-        sq_dist += np.square(xs[..., j:j + span:l] - query[..., j:j + 1])
+        sq_dist += np.square(windows[j] - x[..., n - 1 - tau + j, None])
     log_w = -sq_dist / (2.0 * h * h)
     log_w -= log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w)
@@ -255,9 +248,12 @@ def embedding_heads(x: np.ndarray, n: int, tau: int, l: int) -> np.ndarray:
     These are the kernel centers paired with :func:`conditional_weights`;
     same N, ordering and leading repeat axis.
     """
-    d = tau + 1
-    if n - 1 < d:
-        raise ValueError(f"need n - 1 >= tau + 1 = {d} observations before index n = {n}")
-    x = np.asarray(x, dtype=float)
-    N = 1 + (n - 1 - d) // l
-    return x[..., tau:tau + (N - 1) * l + 1:l]
+    return _candidate_columns(np.asarray(x, dtype=float), n, tau, l, [tau])[0]
+
+
+def _candidate_columns(x: np.ndarray, n: int, tau: int, l: int, cols) -> list[np.ndarray]:
+    """Coordinates ``cols`` of x_n's candidates: the delay vectors of dimension tau + 1 in
+    x_1^{n-1}, whose first tau coordinates meet the query and whose last is a kernel center."""
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    return _delay_columns(x, n - 1, tau + 1, l, cols)

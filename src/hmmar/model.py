@@ -161,7 +161,10 @@ class Trajectory:
     x: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=int)
+        s = np.asarray(self.s)  # checked, not cast: int conversion truncates a state 1.5 to 1
+        if s.dtype.kind not in "iuf" or not np.all(np.isfinite(s) & (np.trunc(s) == s)):
+            raise ValueError(f"s must hold whole numbers, got {self.s!r}")
+        self.s = s.astype(int, copy=False)
         self.x = np.asarray(self.x, dtype=float)
         if self.s.shape != self.x.shape or self.s.ndim != 1:
             raise ValueError("s and x must be 1-D arrays of equal length")
@@ -224,16 +227,12 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     init = model.stationary if model.initial_dist is None else model.initial_dist
 
     total = burn_in + n
-    cum_rows = np.cumsum(model.transition.p, axis=1)
+    # Row i < M draws the successor of state i; row M, the start distribution, draws S_1.
+    cum_rows = np.cumsum(np.vstack([model.transition.p, init]), axis=1)
     cum_rows[:, -1] = np.maximum(cum_rows[:, -1], 1.0)  # absorb rounding in the last bin
-    cum_init = np.cumsum(init)
-    cum_init[-1] = max(cum_init[-1], 1.0)
     # State j is drawn when cum[j - 1] <= u < cum[j] (bisect_right on plain floats).
-    rows = cum_rows.tolist()
-    u = rng_chain.random(total)
-    state = bisect_right(cum_init.tolist(), u[0])
-    chain = [state]
-    for u_k in u[1:]:
+    rows, state, chain = cum_rows.tolist(), model.M, []
+    for u_k in rng_chain.random(total):
         state = bisect_right(rows[state], u_k)
         chain.append(state)
     s = np.array(chain)

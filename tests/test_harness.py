@@ -1,4 +1,3 @@
-import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +11,8 @@ from hmmar.harness import (ConfigError, ExperimentConfig, config_from_dict,
                            run_experiment, write_summary)
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate)
+
+from regenerate_goldens import moved
 
 EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 
@@ -316,23 +317,19 @@ def test_write_summary_format(tmp_path):
 
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_DIGESTS = json.loads((DATA / "golden_traces.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
-def test_summary_matches_golden_bytes(name, tmp_path):
+def test_summary_matches_golden_bytes(name):
     # summary.csv and the sha256 of every trace CSV fixed when the files were
     # committed: any change to either filter's decisions or probabilities, the
-    # bandwidth search or the CSV formats shows here
-    run_experiment(load_config(DATA / f"{name}.json"), out_dir=tmp_path, trace=True)
-    assert (tmp_path / "summary.csv").read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()
-    digests = json.loads((DATA / "golden_traces.json").read_text(encoding="utf-8"))[name]
-    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == sorted(digests)
-    for trace, digest in digests.items():
-        assert hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest() == digest, trace
+    # bandwidth search or the CSV formats shows here, one line per moved row or digest
+    assert moved(name, GOLDEN_DIGESTS) == []
 
 
 @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
-def test_two_repeat_blocks_keep_golden_bytes(name, tmp_path, monkeypatch):
+def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
     # blocks are filtered in lockstep; a budget of one observation makes
     # every block hold 2 repeats (1 where the count is odd), and the bytes
     # must match the single-block goldens
@@ -345,13 +342,8 @@ def test_two_repeat_blocks_keep_golden_bytes(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_BLOCK_OBS", 1)
     monkeypatch.setattr(harness, "run_filters", counted)
-    config = load_config(DATA / f"{name}.json")
-    run_experiment(config, out_dir=tmp_path, trace=True)
-    assert sizes == {2: [2], 3: [2, 1]}[config.repeats]
-    assert (tmp_path / "summary.csv").read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()
-    digests = json.loads((DATA / "golden_traces.json").read_text(encoding="utf-8"))[name]
-    for trace, digest in digests.items():
-        assert hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest() == digest, trace
+    assert moved(name, GOLDEN_DIGESTS) == []
+    assert sizes == {2: [2], 3: [2, 1]}[load_config(DATA / f"{name}.json").repeats]
 
 
 def test_block_of_unequal_lengths_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -548,3 +549,36 @@ def test_embedding_heads_align_with_weights():
         xs = x[:n - 1]
         want = [xs[(i - 1) * l + tau] for i in range(1, len(beta) + 1)]
         np.testing.assert_array_equal(heads, want)
+
+
+@pytest.mark.parametrize("length", [30, 50])
+def test_embedding_heads_raise_where_weights_raise(length):
+    # heads once read past the series' end (48 heads for n = 100 of 50 values), returned
+    # 0 heads for l = -1 and 39 for tau = 0, and divided by zero for l = 0
+    x = np.random.default_rng(22).standard_normal(length)
+    outcomes = set()
+    for tau, l in itertools.product(range(6), range(-1, 4)):
+        for n in range(tau + 2, length + 4):
+            try:
+                N = conditional_weights(x, n, tau, l, 0.5).shape[0]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    embedding_heads(x, n, tau, l)
+                outcomes.add("raised")
+                continue
+            assert embedding_heads(x, n, tau, l).shape == (N,), (n, tau, l)
+            outcomes.add("returned")
+    assert outcomes == {"raised", "returned"}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
+    # an infinite h once gave 37 equal weights and a UCV score of 0.0, with no error
+    x = np.random.default_rng(23).standard_normal(50)
+    message = "^h must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        conditional_weights(x, 40, 2, 1, bad)
+    with pytest.raises(ValueError, match=message):  # one bad entry of a block's (R, 1) h
+        conditional_weights(np.vstack([x, x]), 40, 2, 1, np.array([[0.5], [bad]]))
+    with pytest.raises(ValueError, match=message):
+        ucv_objective(embed(x, 3), bad)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -393,6 +394,18 @@ class TestTrajectory:
 
     def test_len(self):
         assert len(Trajectory(s=[1, 2, 1], x=[0.0, 1.0, 0.5])) == 3
+
+    @pytest.mark.parametrize("s", [[1.5, 2.7], [1.0, math.nan], [1.0, math.inf],
+                                   ["1", "2"], [True, False], [1, None]])
+    def test_states_that_are_not_whole_numbers_rejected(self, s):
+        # int conversion once truncated [1.5, 2.7] to [1, 2], and the harness scored those
+        with pytest.raises(ValueError, match="^s must hold whole numbers"):
+            Trajectory(s=s, x=[0.0, 1.0])
+
+    def test_whole_float_and_integer_states_kept(self):
+        for s in ([1.0, 3.0], np.array([1, 3], dtype=np.int32), np.array([1, 3], dtype=np.uint8)):
+            traj = Trajectory(s=s, x=[0.0, 1.0])
+            assert traj.s.dtype == int and traj.s.tolist() == [1, 3]
 
 
 class TestModelFromDict:
