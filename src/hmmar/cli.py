@@ -52,8 +52,6 @@ def main(argv=None) -> int:
             return 0
         changes = {k: getattr(args, k) for k in ("seed", "repeats", "mode", "tau", "l")}
         config = replace(config, **{k: v for k, v in changes.items() if v is not None})
-        if args.trace and args.out is None:
-            raise ConfigError("--trace requires --out")
         summary = run_experiment(config, out_dir=args.out, trace=args.trace)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -173,13 +173,9 @@ def _run_block(task) -> list[dict]:
     model, (lo, hi) = config.model, config.eval_window
     # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
     # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
-    # at most hi squares, and the emissions divide one by 2 b^2.  UCV's score scales by
-    # N^2 (4 pi)^(d/2) h^d, d = tau + 1, with h <= h_plus <= sqrt(2) peak.
-    fmax, reach = sys.float_info.max, 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
-    limit = math.sqrt(fmax * min(1.0 / hi, 2.0 * model.b2.min())) / reach
-    d = config.tau + 1
-    if config.mode != "optimal":
-        limit = min(limit, (fmax / hi / hi) ** (1.0 / d) / math.sqrt(8.0 * math.pi))
+    # at most hi squares, and the emissions divide one by 2 b^2.  UCV's own range is checked below.
+    reach = 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
+    limit = math.sqrt(sys.float_info.max * min(1.0 / hi, 2.0 * model.b2.min())) / reach
     with np.errstate(over="ignore", invalid="ignore"):  # such a series is rejected below
         trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
     for r, traj in zip(repeats, trajectories):
@@ -187,9 +183,9 @@ def _run_block(task) -> list[dict]:
         if not peak <= limit:
             raise ConfigError(f"model: the series of seed {config.seed + r} reaches {peak:.3g}, "
                               f"past {limit:.3g}, where the filters' arithmetic overflows")
-        try:  # the series is finite and long enough: only no spread or too narrow a one fails
+        try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
             if config.mode != "optimal":
-                oversmoothed_bandwidth(embed(traj.x, d, config.l))
+                oversmoothed_bandwidth(embed(traj.x, config.tau + 1, config.l))
         except ValueError as exc:
             raise ConfigError(f"model: the series of seed {config.seed + r}: {exc}") from None
     runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,

@@ -91,9 +91,9 @@ def _check_bandwidth(h: float | np.ndarray) -> None:
 def _delay_columns(x: np.ndarray, n_obs: int, d: int, l: int, cols) -> list[np.ndarray]:
     """Coordinates j in ``cols`` of the N = 1 + (n_obs - d) // l delay vectors of dimension d,
     stride l, in x_1^{n_obs}: the strided views ``x[..., j:j + span:l]``, span = (N - 1) l + 1."""
-    if not (l >= 1 and 1 <= d <= n_obs <= x.shape[-1]):
-        raise ValueError(f"need l >= 1 and 1 <= d <= n_obs <= {x.shape[-1]} (the series' length), "
-                         f"got l = {l}, d = {d}, n_obs = {n_obs}")
+    if not (x.ndim in (1, 2) and l >= 1 and 1 <= d <= n_obs <= x.shape[-1]):
+        raise ValueError(f"need x of shape (n,) or (R, n), l >= 1 and 1 <= d <= n_obs <= n, "
+                         f"got x of shape {x.shape}, l = {l}, d = {d}, n_obs = {n_obs}")
     span = (n_obs - d) // l * l + 1
     return [x[..., j:j + span:l] for j in cols]
 
@@ -137,19 +137,26 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
-    """Oversmoothed bandwidth h_plus = (4 / (N (d+2)))^(1/(d+4)) * max_k sigma_k; a ValueError
-    if the sample has no spread, or so little that h^d underflows on UCV's grid."""
-    if sample.N < 2:
+    """Oversmoothed bandwidth h_plus = c max_k sigma_k, c = (4 / (N (d+2)))^(1/(d+4)), holding UCV's
+    float range: a ValueError if the sample has no spread, if h_plus is below the floor where h^d
+    underflows from the grid bottom 1e-6 h_plus (d = 1 takes d = 2's floor: its squared distances go
+    subnormal first), or above the ceiling where a pairwise squared distance (<= 2 d (N-1)
+    sigma_max^2), the cutoff 746 * 4 h^2 or a denominator (<= N^2 (4 pi)^(d/2) h^d) overflows."""
+    N, d, fmax = sample.N, sample.d, sys.float_info.max
+    if N < 2:
         raise ValueError("need at least two embedded vectors")
-    sigma = sample.vectors.std(axis=0, ddof=1)
-    sig_max = float(sigma.max())
-    if not sig_max > 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sigma fails the ceiling
+        sig_max = float(sample.vectors.std(axis=0, ddof=1).max())
+    if sig_max == 0.0 and (sample.vectors == sample.vectors[0]).all():  # not an underflowed sigma
         raise ValueError("degenerate sample: all coordinates are constant")
-    h_plus = (4.0 / (sample.N * (sample.d + 2))) ** (1.0 / (sample.d + 4)) * sig_max
-    floor = sys.float_info.min ** (1.0 / sample.d) / _GRID_BOTTOM
-    if not h_plus >= floor:
-        raise ValueError(f"h_plus {h_plus:.3g} is below {floor:.3g}, "
-                         f"where UCV's 1/h^{sample.d} overflows")
+    c, p = (4.0 / (N * (d + 2))) ** (1.0 / (d + 4)), max(d, 2)
+    h_plus, lo = c * sig_max, sys.float_info.min ** (1.0 / p) / _GRID_BOTTOM
+    hi = min(c * math.sqrt(fmax / (2 * d * N)), math.sqrt(fmax / 2984.0),
+             (fmax / N**2) ** (1.0 / d) / math.sqrt(4.0 * math.pi))
+    if not h_plus <= hi:
+        raise ValueError(f"h_plus {h_plus:.3g} is above {hi:.3g}, where UCV's arithmetic overflows")
+    if not h_plus >= lo:
+        raise ValueError(f"h_plus {h_plus:.3g} is below {lo:.3g}, where UCV's 1/h^{p} overflows")
     return h_plus
 
 
@@ -198,7 +205,7 @@ def _brent(f, a: float, b: float, tol: float) -> float:
 
 
 def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
-    """Bandwidth minimizing the UCV score on (0, h_plus].
+    """Bandwidth minimizing the UCV score on (0, h_plus]; h_plus must lie in UCV's float range.
 
     The score can carry spurious local minima near h = 0, so the search
     bracket is [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the

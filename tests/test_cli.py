@@ -95,16 +95,17 @@ def test_overflowing_noise_scale_exits_2(config_path, capsys):
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("states,mode,code", [
-    *[({0: state}, mode, 2) for state in ({"mu": 1e308}, {"a": [50.0, 0.0]})
+@pytest.mark.parametrize("states,mode,code,prefix", [
+    *[({0: state}, mode, 2, "seed 0 reaches") for state in ({"mu": 1e308}, {"a": [50.0, 0.0]})
       for mode in ("both", "optimal")],  # exit 3 before, after numpy overflow warnings
-    ({0: {"mu": 1e60}}, "both", 0),  # far inside every term of the limit
-    ({0: {"mu": 1e140}}, "both", 2),  # UCV's h ** (tau + 1) would overflow
-    ({0: {"mu": 1e140}}, "optimal", 0),  # without UCV, 1e140 squares safely
-    ({0: {"b": 1e-150}, 1: {"mu": 1e5}}, "optimal", 2),  # (x - mean)^2 / 2b^2 would overflow
+    ({0: {"mu": 1e60}}, "both", 0, None),  # far inside every term of the limit
+    ({0: {"mu": 1e140}}, "both", 2, "seed 0: h_plus"),  # UCV's h ** (tau + 1) would overflow
+    ({0: {"mu": 1e140}}, "optimal", 0, None),  # without UCV, 1e140 squares safely
+    ({0: {"b": 1e-150}, 1: {"mu": 1e5}}, "optimal", 2,  # (x - mean)^2 / 2b^2 would overflow
+     "seed 0 reaches"),
 ], ids=["mu-1e308-both", "mu-1e308-optimal", "a-explosive-both", "a-explosive-optimal",
         "mu-1e60", "mu-1e140-ucv", "mu-1e140-optimal", "b-tiny"])
-def test_overflowing_series_exits_2(tmp_path, states, mode, code):
+def test_overflowing_series_exits_2(tmp_path, states, mode, code, prefix):
     # Each parameter is finite, so validate passes; only the simulated series can
     # show that the filters' arithmetic would overflow.
     doc = json.loads(Path(example_config_path()).read_text())
@@ -117,7 +118,7 @@ def test_overflowing_series_exits_2(tmp_path, states, mode, code):
     result, err = run_cli(["run", "--config", str(path), "--mode", mode])
     assert result == code, err
     if code == 2:
-        assert err.startswith("config error: model: the series of seed 0 reaches"), err
+        assert err.startswith(f"config error: model: the series of {prefix}"), err
 
 
 def example_with(tmp_path, edit) -> str:
@@ -172,6 +173,19 @@ def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
     path = example_with(tmp_path, edit)
     assert run_without_warnings(["validate", "--config", path])[0] == 0
     result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
+    assert result == code, err
+    if code == 2:
+        assert err.startswith("config error: model: the series of seed 0: h_plus "), err
+
+
+@pytest.mark.parametrize("k,code", [(-318, 2), (-317, 0), (0, 0), (332, 0), (336, 0), (400, 2)])
+def test_example_scaled_by_a_power_of_two(tmp_path, k, code):
+    # only h_plus's own range refuses a scale; 2^336 once met a looser bound in the harness
+    def edit(doc):
+        scaled(2.0 ** k)(doc)
+        doc["repeats"] = 3
+    path = example_with(tmp_path, edit)
+    result, err = run_without_warnings(["run", "--config", path])
     assert result == code, err
     if code == 2:
         assert err.startswith("config error: model: the series of seed 0: h_plus "), err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -314,6 +315,56 @@ class TestOversmoothedBandwidth:
             oversmoothed_bandwidth(sample)
 
 
+    @pytest.mark.parametrize("d, scale", [(3, 1e104), (3, 1e110), (1, 1e155), (1, 1e160)])
+    def test_too_wide_series_rejected(self, d, scale):
+        # 1e104 with d = 3 gave h/s = 0.0045 for 0.388 after overflow warnings; 1e110 and the
+        # d = 1 scales ended in "h must be positive and finite, got inf"
+        x = scale * np.random.default_rng(0).standard_normal(600)
+        with pytest.raises(ValueError, match="^h_plus .* is above .*, where UCV's arithmetic"):
+            ucv_bandwidth(embed(x, d=d, l=1))
+
+    def test_underflowed_spread_is_below_the_floor_not_constant(self):
+        # every squared deviation of 2^-600 x underflows to 0, so sigma is 0.0
+        x = np.ldexp(np.random.default_rng(0).standard_normal(600), -600)
+        with pytest.raises(ValueError, match=r"^h_plus 0 is below .*, where UCV's 1/h\^2"):
+            oversmoothed_bandwidth(embed(x, d=1, l=1))
+        with pytest.raises(ValueError, match="^degenerate sample"):
+            oversmoothed_bandwidth(embed(np.full(600, np.ldexp(1.0, -600)), d=1, l=1))
+
+
+def outlier_series(n: int) -> np.ndarray:
+    """Standard normals, about one in twenty of them scaled by 1e3."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.05] *= 1e3
+    return x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, d", [(600, 1), (4, 2), (300, 2), (600, 3), (40, 8)])
+def test_bandwidth_scales_by_every_power_of_two_or_refuses(n, d):
+    # Scaling x by 2^k is exact, so h must scale with it until oversmoothed_bandwidth
+    # refuses h_plus.  Unchecked, d = 3 moved by 1.5e-2 h_plus for k in [334, 497], d = 8
+    # for k in [117, 500] and d = 1 for k <= -521, after overflow or underflow warnings.
+    x = outlier_series(n)
+    sample = embed(x, d=d, l=1)
+    h0, h_plus0 = ucv_bandwidth(sample).h, oversmoothed_bandwidth(sample)
+    with np.errstate(over="ignore"):
+        exact = [k for k in range(-1100, 1100) if np.isfinite(y := np.ldexp(x, k)).all()
+                 and np.array_equal(np.ldexp(y, -k), x)]
+    outcomes = set()
+    for k in exact:
+        try:
+            h = ucv_bandwidth(embed(np.ldexp(x, k), d=d, l=1)).h
+        except ValueError as exc:
+            assert str(exc).startswith("h_plus "), (k, exc)
+            outcomes.add("refused")
+            continue
+        assert abs(math.ldexp(h, -k) - h0) <= 1e-12 * h_plus0, k
+        outcomes.add("scaled")
+    assert outcomes == {"refused", "scaled"}
+
+
 class TestUcvBandwidth:
     def test_clustered_data_prefers_smaller_h(self):
         rng = np.random.default_rng(21)
@@ -536,6 +587,15 @@ class TestConditionalWeights:
     def test_requires_enough_history(self):
         with pytest.raises(ValueError):
             conditional_weights(np.zeros(10), n=3, tau=2, l=1, h=0.5)
+
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((1, 1, 50))], ids=["0-d", "3-d"])
+    def test_x_of_rank_0_or_3_rejected(self, x):
+        # a 0-d x raised an IndexError; a (1, 1, 50) x returned (1, 1, 7) weights
+        message = r"^need x of shape \(n,\) or \(R, n\).*got x of shape " + re.escape(str(x.shape))
+        with pytest.raises(ValueError, match=message):
+            conditional_weights(x, 6, 2, 1, 0.5)
+        with pytest.raises(ValueError, match=message):
+            embedding_heads(x, 6, 2, 1)
 
 
 def test_embedding_heads_align_with_weights():
