@@ -41,16 +41,18 @@ def warmup_threshold(p: int, tau: int) -> int:
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
-def log_emissions(x_n: float | np.ndarray, means: np.ndarray,
-                  model: SwitchingArModel) -> np.ndarray:
+def log_emissions(x_n: float | np.ndarray, means: np.ndarray, model: SwitchingArModel,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """log f_m(x_n) for every state m, given the (M,) AR means of x_n's history.
 
     ``means`` comes from :meth:`SwitchingArModel.ar_means`.  With a (k,) array
-    of observations and their (k, M) means the result is the (k, M) matrix.
+    of observations and their (k, M) means the result is the (k, M) matrix,
+    written into ``out`` if given (which may be ``means`` itself).
     """
-    b2 = model.b2
-    x_n = np.asarray(x_n, dtype=float)[..., None]
-    return -0.5 * np.log(2.0 * np.pi * b2) - (x_n - means) ** 2 / (2.0 * b2)
+    out = np.subtract(np.asarray(x_n, dtype=float)[..., None], means, out=out)
+    out **= 2
+    out /= 2.0 * model.b2
+    return np.subtract(-0.5 * np.log(2.0 * np.pi * model.b2), out, out=out)
 
 
 def _predict(posterior: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -68,10 +70,10 @@ def _bayes_update(log_f: np.ndarray, predictive: np.ndarray, out: np.ndarray) ->
     """The update of :func:`posterior_update` from the log emission row, into ``out``.
 
     Rows of leading (time or repeat) axes are updated independently.  A zero u_m
-    takes log 0 = -inf; callers silence that divide warning.
+    takes log 0 = -inf; callers silence that divide warning.  ``out`` may be
+    ``log_f``: the sum log_f + log u reads each entry before writing it.
     """
-    np.log(predictive, out=out)
-    out += log_f
+    np.add(log_f, np.log(predictive), out=out)
     out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
@@ -88,7 +90,7 @@ def posterior_update(predictive: np.ndarray, x_n: float, history: np.ndarray,
     """
     log_f = log_emissions(x_n, model.ar_means(history), model)
     with np.errstate(divide="ignore"):
-        return _bayes_update(log_f, predictive, np.empty_like(log_f))
+        return _bayes_update(log_f, predictive, log_f)
 
 
 def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
@@ -216,13 +218,13 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     Returns one :class:`FilterRun` per trajectory, recording n >= eval_start;
     a filter that did not run leaves its arrays None.  The trajectories share
     one length and run in lockstep: each step is one set of numpy calls on
-    the block's (R, M) rows, bit for bit as R blocks of one.  Both filters
-    read one emission pass over steps n = p + 1 .. len(x): each series' AR
-    means from its lag view, and the (steps, R, M) log-emission array.  The
-    optimal filter starts from the stationary distribution at n = p + 1 and
-    recurses over every row.  The nonparametric filter carries no state: a
-    prediction pass solves each step's QPs as :func:`nonparametric_step` does,
-    then one Bayes update brings in every x_n.  If ``bandwidth`` is None it is
+    the block's (R, M) rows, bit for bit as R blocks of one.  One (steps, R, M)
+    buffer over steps n = p + 1 .. len(x) holds in turn each series' AR means,
+    read by the nonparametric prediction pass (each step's QPs solved as in
+    :func:`nonparametric_step`); their log-emissions, made in place and read
+    by the one Bayes update of every nonparametric x_n; and the optimal filter's
+    posteriors, each row over its own log-emissions, from the stationary
+    distribution at n = p + 1 on.  If ``bandwidth`` is None it is
     selected per trajectory by UCV on the delay embedding (dimension tau + 1)
     of its whole series; pass one to pin it, e.g. when checking causality.
     ``eval_start`` must exceed :func:`warmup_threshold` if the nonparametric
@@ -250,32 +252,32 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     fallback = np.zeros((R, T), dtype=bool)
     # Row i of a lag view holds the history x[p + i - 1], ..., x[i] of step
     # n = p + 1 + i; ar_means gets each series' own strided view.
-    means = np.stack([model.ar_means(sliding_window_view(t.x[:-1], p)[:, ::-1] if n_len > p
-                                     else np.empty((0, p))) for t in trajectories], axis=1)
-    log_f = log_emissions(x[:, p:].T, means, model)  # (steps, R, M), time-major
+    buf = np.empty((max(n_len - p, 0), R, M))  # time-major; the means, log_f, then posteriors
+    for r, t in enumerate(trajectories if n_len > p else ()):
+        buf[:, r] = model.ar_means(sliding_window_view(t.x[:-1], p)[:, ::-1])
     k0 = eval_start - p - 1  # row of step n = eval_start
-
-    if mode != "nonparametric":
-        opt_pred, opt_post = np.empty_like(log_f), np.empty_like(log_f)
-        trans = model.transition.p
-        posterior = np.broadcast_to(model.stationary, (R, M))
-        with np.errstate(divide="ignore"):
-            for log_f_n, pred_n, post_n in zip(log_f, opt_pred, opt_post):
-                posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), post_n)
-        opt_pred, opt_post = opt_pred[k0:], opt_post[k0:]
 
     if mode != "optimal":
         # The predictive stays uniform for M = 1, as in nonparametric_step.
         npar_pred = np.full((T, R, M), 1.0 / M)
         b2 = model.b2.tolist()
         for k in range(T if M > 1 else 0):
-            means_n = means[k0 + k]
+            means_n = buf[k0 + k]
             c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
             for r in range(R):
                 sol = solve_kkt(_emission_overlaps(means_n[r].tolist(), b2), c[r])
                 npar_pred[k, r], fallback[r, k] = sol.u, sol.fallback
-        with np.errstate(divide="ignore"):
+    log_f = log_emissions(x[:, p:].T, buf, model, out=buf)
+    with np.errstate(divide="ignore"):
+        if mode != "optimal":
             npar_post = _bayes_update(log_f[k0:], npar_pred, np.empty_like(npar_pred))
+        if mode != "nonparametric":
+            opt_pred = np.empty_like(log_f)
+            trans = model.transition.p
+            posterior = np.broadcast_to(model.stationary, (R, M))
+            for log_f_n, pred_n in zip(log_f, opt_pred):  # each posterior over its log_f row
+                posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), log_f_n)
+            opt_pred, opt_post = opt_pred[k0:], log_f[k0:]
 
     arrays = (opt_pred, opt_post, npar_pred, npar_post)
     return [FilterRun(eval_start, fallback[r], *(None if v is None else v[:, r] for v in arrays))

@@ -8,9 +8,9 @@ repeats: their mean and standard error across repeats go to ``summary.csv``,
 and the per-step data only to the plot-ready ``trace_<r>.csv`` files.
 
 Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS``
-observations; set HMMAR_THREADS to run blocks in parallel (0 = one worker
-per CPU).  Aggregation order is fixed by repeat index, so output files are
-byte-identical regardless of blocking and parallelism.
+observations or ``_BLOCK_MIN`` repeats, whichever is more; set HMMAR_THREADS to
+run blocks in parallel (0 = one worker per CPU).  Aggregation order is fixed by
+repeat index, so output files are byte-identical regardless of blocking and parallelism.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, repeat
@@ -39,8 +38,8 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
          ("nonparametric", "filtering", "nonparametric_posterior"),
          ("nonparametric", "prediction", "nonparametric_predictive"))
 
-#: Observations per lockstep block (2 repeats at least); more outgrows UCV's memory peak.
-_BLOCK_OBS = 1 << 11
+#: Observations per lockstep block (_BLOCK_MIN repeats at least); more outgrows UCV's memory peak.
+_BLOCK_OBS, _BLOCK_MIN = 1 << 11, 4
 
 #: Lowest allowed value of each integer field of ExperimentConfig.
 _INT_FLOORS = {"n_total": 1, "tau": 1, "l": 1, "repeats": 1, "seed": 0, "burn_in": 0}
@@ -237,10 +236,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False) 
 
     workers = _worker_count(config.repeats)
     # repeats per block: the observation budget's share, but a block for every worker
-    size = min(max(2, _BLOCK_OBS // config.eval_window[1]), -(-config.repeats // workers))
+    size = min(max(_BLOCK_MIN, _BLOCK_OBS // config.eval_window[1]), -(-config.repeats // workers))
     tasks = [(config, range(a, min(a + size, config.repeats)), trace_dir)
              for a in range(0, config.repeats, size)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:

@@ -125,7 +125,10 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     if sample.N < 2:
         raise ValueError("UCV needs at least two embedded vectors")
     _check_bandwidth(h)
-    N, d, sq_dists = sample.N, sample.d, sample.sorted_sq_dists
+    N, d, (lo, hi) = sample.N, sample.d, _ucv_range(sample.N, sample.d)
+    if not lo <= h <= hi:
+        raise ValueError(f"h {h:.3g} is outside [{lo:.3g}, {hi:.3g}], UCV's float range")
+    sq_dists = sample.sorted_sq_dists
     four_h2 = 4.0 * h * h
     # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
     live = sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)]
@@ -134,6 +137,13 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
+
+
+def _ucv_range(N: int, d: int) -> tuple[float, float]:
+    """The h where UCV's score stays in float range, as :func:`oversmoothed_bandwidth` sets out."""
+    fmax = sys.float_info.max
+    return (sys.float_info.min ** (1.0 / max(d, 2)),
+            min(math.sqrt(fmax / 2984.0), (fmax / N**2) ** (1.0 / d) / math.sqrt(4.0 * math.pi)))
 
 
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
@@ -149,10 +159,8 @@ def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
         sig_max = float(sample.vectors.std(axis=0, ddof=1).max())
     if sig_max == 0.0 and (sample.vectors == sample.vectors[0]).all():  # not an underflowed sigma
         raise ValueError("degenerate sample: all coordinates are constant")
-    c, p = (4.0 / (N * (d + 2))) ** (1.0 / (d + 4)), max(d, 2)
-    h_plus, lo = c * sig_max, sys.float_info.min ** (1.0 / p) / _GRID_BOTTOM
-    hi = min(c * math.sqrt(fmax / (2 * d * N)), math.sqrt(fmax / 2984.0),
-             (fmax / N**2) ** (1.0 / d) / math.sqrt(4.0 * math.pi))
+    c, (lo, hi), p = (4.0 / (N * (d + 2))) ** (1.0 / (d + 4)), _ucv_range(N, d), max(d, 2)
+    h_plus, lo, hi = c * sig_max, lo / _GRID_BOTTOM, min(c * math.sqrt(fmax / (2 * d * N)), hi)
     if not h_plus <= hi:
         raise ValueError(f"h_plus {h_plus:.3g} is above {hi:.3g}, where UCV's arithmetic overflows")
     if not h_plus >= lo:

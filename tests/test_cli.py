@@ -329,6 +329,21 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    """The process pool is imported only for parallel runs: a fresh ``import hmmar`` and a
+    serial run load no multiprocessing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import hmmar, sys; from dataclasses import replace; "
+            "hmmar.run_experiment(replace(hmmar.example_config(), repeats=1, mode='optimal')); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))")
+    env = {k: v for k, v in os.environ.items() if k != "HMMAR_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 # Property tests over whole documents: every invalid one is a config error
 # naming its field (exit 2, nothing written), every small valid one runs.
 

@@ -56,6 +56,61 @@ def test_log_emissions_match_linear_density():
             assert logs[m] == pytest.approx(math.log(emission_density(x, hist, st)), rel=1e-12)
 
 
+def test_log_emissions_in_place_keep_the_bits():
+    # run_filters turns its AR-means buffer into the log-emissions in place; every
+    # form gives the bits of the expression -0.5 log(2 pi b^2) - (x - m)^2 / (2 b^2)
+    model = example_model()
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 4))
+    means = model.ar_means(rng.normal(size=(160, 2))).reshape(40, 4, 3)
+    b2 = model.b2
+    expected = -0.5 * np.log(2.0 * np.pi * b2) - (x[..., None] - means) ** 2 / (2.0 * b2)
+    buf = means.copy()
+    got = log_emissions(x, buf, model, out=buf)
+    assert got is buf
+    assert np.array_equal(got, expected)
+    assert np.array_equal(log_emissions(x, means, model), expected)
+    out = np.empty_like(means)
+    assert log_emissions(x, means, model, out=out) is out and np.array_equal(out, expected)
+    assert np.array_equal(log_emissions(x[0, 0], means[0, 0], model), expected[0, 0])
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_bayes_update_into_its_log_emissions_keeps_the_bits(zero):
+    # the optimal recursion writes each posterior row over its log-emission row
+    from hmmar.filters import _bayes_update
+    rng = np.random.default_rng(7)
+    log_f = rng.normal(scale=30.0, size=(50, 3, 4))
+    predictive = rng.dirichlet(np.ones(4), size=(50, 3))
+    if zero:  # a zero u_m takes log 0 = -inf
+        predictive[:, :, 1] = 0.0
+        predictive /= predictive.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        apart = _bayes_update(log_f, predictive, np.empty_like(log_f))
+        aliased = log_f.copy()
+        assert _bayes_update(aliased, predictive, aliased) is aliased
+    assert np.array_equal(aliased, apart)
+    assert np.array_equal(np.signbit(aliased), np.signbit(apart))
+    assert np.all(apart >= 0.0) and np.all(np.abs(apart.sum(axis=-1) - 1.0) <= 1e-12)
+    assert np.all((apart[:, :, 1] == 0.0) == zero)
+
+
+def test_optimal_block_memory_peak():
+    # an optimal-only block holds x, the predictive array and one (steps, R, M)
+    # buffer for means, log-emissions and posteriors: a 2.35 MiB peak here, where
+    # separate means, log-emission and posterior arrays peaked at 4.18 MiB
+    import tracemalloc
+    model = example_model()
+    trajs = [simulate(model, 10_000, burn_in=100, rng_seed=r) for r in range(4)]
+    tracemalloc.start()
+    try:
+        run_filters(trajs, model, eval_start=101, mode="optimal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 2**20
+
+
 def test_ar_means_match_inline_mean_exactly():
     # the one kernel of the AR mean keeps the expression mu + a @ h - a.sum() * mu
     model = example_model()
@@ -411,13 +466,16 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
 
     # both filters write every step through _bayes_update: the optimal loop
     # one step's (1, M) rows at a time, the nonparametric filter all its
-    # (T, 1, M) rows at once; step 120's is the last row, with x_120's emissions
+    # (T, 1, M) rows at once; step 120's is the last row, with x_120's emissions.
+    # The optimal loop writes each posterior over its log_f row, so log_f is
+    # read before the real update runs.
     last_log_f = log_emissions(traj.x[-1], model.ar_means(traj.x[-3:-1][::-1]), model)
     update = filters._bayes_update
 
     def poisoned_update(log_f, predictive, out):
+        last = np.array_equal(log_f[-1].reshape(-1), last_log_f)
         update(log_f, predictive, out)
-        if np.array_equal(log_f[-1].reshape(-1), last_log_f):
+        if last:
             (predictive, out)[field == "posterior"][-1] = bad + [0.0]
         return out
 

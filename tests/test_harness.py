@@ -330,9 +330,9 @@ def test_summary_matches_golden_bytes(name):
 
 @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
 def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
-    # blocks are filtered in lockstep; a budget of one observation makes
-    # every block hold 2 repeats (1 where the count is odd), and the bytes
-    # must match the single-block goldens
+    # blocks are filtered in lockstep; a budget of one observation and a floor
+    # of 2 repeats make every block hold 2 repeats (1 where the count is odd),
+    # and the bytes must match the single-block goldens
     import hmmar.harness as harness
     sizes = []
 
@@ -341,9 +341,30 @@ def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
         return run_filters(trajectories, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_BLOCK_OBS", 1)
+    monkeypatch.setattr(harness, "_BLOCK_MIN", 2)
     monkeypatch.setattr(harness, "run_filters", counted)
     assert moved(name, GOLDEN_DIGESTS) == []
     assert sizes == {2: [2], 3: [2, 1]}[load_config(DATA / f"{name}.json").repeats]
+
+
+@pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [4] * 12 + [2]),
+                                                  (250, 120, [8] * 15),
+                                                  (10_000, 10, [4, 4, 2])])
+def test_block_partition(steps, repeats, sizes, monkeypatch):
+    # about 2,048 observations per serial block, and 4 repeats at least
+    import hmmar.harness as harness
+    seen = []
+
+    def fake_block(task):
+        seen.append(len(task[1]))
+        return [{"qp_fallback": 0} for _ in task[1]]
+
+    monkeypatch.delenv("HMMAR_THREADS", raising=False)
+    monkeypatch.setattr(harness, "_run_block", fake_block)
+    cfg = replace(example_config(), n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
+                  repeats=repeats, mode="optimal")
+    run_experiment(cfg)
+    assert seen == sizes
 
 
 def test_block_of_unequal_lengths_rejected():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from functools import partial
 
 import numpy as np
@@ -242,6 +243,22 @@ class TestUcvObjective:
         sample = EmbeddedSample(vectors=np.array([[0.0]]))
         with pytest.raises(ValueError):
             ucv_objective(sample, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [1e160, 1e-120, 3e100, 2e-103])
+    def test_h_outside_float_range_rejected(self, h):
+        # 1e160 raised OverflowError from h ** 3 and 1e-120 ZeroDivisionError from h ** 3 = 0;
+        # the range is oversmoothed_bandwidth's floor (h^3 stays normal) and its ceilings
+        # (here N^2 (4 pi)^(3/2) h^3 stays finite), N = 598
+        sample = embed(np.random.default_rng(0).standard_normal(600), d=3, l=1)
+        lo = sys.float_info.min ** (1 / 3)
+        hi = (sys.float_info.max / 598**2) ** (1 / 3) / math.sqrt(4 * math.pi)
+        assert (lo, hi) == pytest.approx((2.81e-103, 2.24e100), rel=1e-2)
+        message = rf" is outside \[2\.81e-103, 2\.24e\+100\], UCV's float range$"
+        with pytest.raises(ValueError, match="^h " + re.escape(f"{h:.3g}") + message):
+            ucv_objective(sample, h)
+        for edge in (lo, hi):  # the range's own edges score as finite numbers
+            assert math.isfinite(ucv_objective(sample, edge))
 
     def test_matches_two_exp_reference(self):
         sample = example_sample(0)
