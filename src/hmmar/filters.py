@@ -176,6 +176,17 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
     return predictive, posterior_update(predictive, x[n - 1], history, model), fallback
 
 
+class SeriesError(ValueError):
+    """The series at ``index`` of a block that the filters cannot take; ``str()`` adds ``tail``."""
+
+    def __init__(self, index: int, tail: str):
+        super().__init__(index, tail)  # args rebuild it when unpickled
+        self.index, self.tail = index, tail
+
+    def __str__(self) -> str:
+        return f"series {self.index}{self.tail}"
+
+
 @dataclass(eq=False)
 class FilterRun:
     """Output of :func:`run_filters`; row k of every array is step n = eval_start + k.
@@ -215,20 +226,20 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
                 mode: str = "both") -> list[FilterRun]:
     """Run the filters ``mode`` selects (one of :data:`MODES`) on a block of trajectories.
 
-    Returns one :class:`FilterRun` per trajectory, recording n >= eval_start;
-    a filter that did not run leaves its arrays None.  The trajectories share
-    one length and run in lockstep: each step is one set of numpy calls on
-    the block's (R, M) rows, bit for bit as R blocks of one.  One (steps, R, M)
-    buffer over steps n = p + 1 .. len(x) holds in turn each series' AR means,
-    read by the nonparametric prediction pass (each step's QPs solved as in
-    :func:`nonparametric_step`); their log-emissions, made in place and read
-    by the one Bayes update of every nonparametric x_n; and the optimal filter's
-    posteriors, each row over its own log-emissions, from the stationary
-    distribution at n = p + 1 on.  If ``bandwidth`` is None it is
-    selected per trajectory by UCV on the delay embedding (dimension tau + 1)
-    of its whole series; pass one to pin it, e.g. when checking causality.
-    ``eval_start`` must exceed :func:`warmup_threshold` if the nonparametric
-    filter runs, else the AR order.  Every row is checked to be a probability vector.
+    Returns one :class:`FilterRun` per trajectory, recording n >= eval_start; a filter
+    that did not run leaves its arrays None.  The trajectories share one length and run
+    in lockstep: each step is one set of numpy calls on the block's (R, M) rows, bit for
+    bit as R blocks of one.  One (steps, R, M) buffer over steps n = p + 1 .. len(x)
+    holds in turn each series' AR means, read by the nonparametric prediction pass (each
+    step's QPs solved as in :func:`nonparametric_step`); their log-emissions, made in
+    place and read by the one Bayes update of every nonparametric x_n; and the optimal
+    filter's posteriors, each row over its own log-emissions, from the stationary
+    distribution at n = p + 1 on.  If ``bandwidth`` is None it is selected per
+    trajectory by UCV on the delay embedding (dimension tau + 1) of its whole series;
+    pass one to pin it, e.g. when checking causality.  ``eval_start`` must exceed
+    :func:`warmup_threshold` if the nonparametric filter runs, else the AR order.  Each series
+    in turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
+    does not raises a :class:`SeriesError`.  Every row is checked to be a probability vector.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -244,9 +255,22 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     R, n_len, M = len(trajectories), lengths[0], model.M
     T = max(n_len + 1 - eval_start, 0)
     h = None if bandwidth is None else bandwidth.h
-    if mode != "optimal" and T and h is None:
-        # before the block's arrays exist, so the two memory peaks do not add
-        h = np.array([[ucv_bandwidth(embed(t.x, d=tau + 1, l=l)).h] for t in trajectories])
+    # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
+    # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
+    # at most n_len squares, and the emissions divide one by 2 b^2.  UCV checks its own range.
+    reach = 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
+    limit = np.sqrt(np.finfo(float).max * min(1.0 / max(n_len, 1), 2.0 * model.b2.min())) / reach
+    fits = []  # UCV before the block's arrays exist, so the two memory peaks do not add
+    for i, t in enumerate(trajectories):
+        if not (peak := float(np.abs(np.concatenate([t.x, model.mu])).max())) <= limit:
+            raise SeriesError(i, f" reaches {peak:.3g}, past {limit:.3g}, "
+                                 "where the filters' arithmetic overflows")
+        try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
+            if mode != "optimal" and T and h is None:
+                fits.append([ucv_bandwidth(embed(t.x, d=tau + 1, l=l)).h])
+        except ValueError as exc:
+            raise SeriesError(i, f": {exc}") from None
+    h = np.array(fits) if fits else h
     x = np.stack([t.x for t in trajectories])
     opt_pred = opt_post = npar_pred = npar_post = None
     fallback = np.zeros((R, T), dtype=bool)

@@ -16,9 +16,7 @@ repeat index, so output files are byte-identical regardless of blocking and para
 from __future__ import annotations
 
 import json
-import math
 import os
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, repeat
@@ -27,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import MODES, FilterRun, run_filters, warmup_threshold
-from .kde import embed, oversmoothed_bandwidth
+from .filters import MODES, FilterRun, SeriesError, run_filters, warmup_threshold
 from .model import SwitchingArModel, Trajectory, check_fields, model_from_dict, simulate
 
 #: (method, task, FilterRun field scored) of each summary row, in output order.  A
@@ -165,30 +162,19 @@ def _fmt(value: float) -> str:
 def _run_block(task) -> list[dict]:
     """Worker for a block of repeats, filtered in lockstep; top-level so pools can pickle it.
 
-    Takes ``(config, repeats, trace_dir)``; returns each repeat's
-    ``{f"{method}_{task}": error, ..., "qp_fallback": steps}``, in order.
+    Takes ``(config, repeats, trace_dir)``; returns each repeat's ``{f"{method}_{task}": error,
+    ..., "qp_fallback": steps}``, in order.  A SeriesError becomes a ConfigError naming the seed.
     """
     config, repeats, trace_dir = task
     model, (lo, hi) = config.model, config.eval_window
-    # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
-    # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
-    # at most hi squares, and the emissions divide one by 2 b^2.  UCV's own range is checked below.
-    reach = 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
-    limit = math.sqrt(sys.float_info.max * min(1.0 / hi, 2.0 * model.b2.min())) / reach
-    with np.errstate(over="ignore", invalid="ignore"):  # such a series is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # run_filters rejects such a series
         trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
-    for r, traj in zip(repeats, trajectories):
-        peak = float(np.abs(np.concatenate([traj.x, model.mu])).max())
-        if not peak <= limit:
-            raise ConfigError(f"model: the series of seed {config.seed + r} reaches {peak:.3g}, "
-                              f"past {limit:.3g}, where the filters' arithmetic overflows")
-        try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
-            if config.mode != "optimal":
-                oversmoothed_bandwidth(embed(traj.x, config.tau + 1, config.l))
-        except ValueError as exc:
-            raise ConfigError(f"model: the series of seed {config.seed + r}: {exc}") from None
-    runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
-                       mode=config.mode)
+    try:
+        runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
+                           mode=config.mode)
+    except SeriesError as exc:
+        raise ConfigError(f"model: the series of seed {config.seed + repeats[exc.index]}"
+                          f"{exc.tail}") from None
     results = []
     for r, traj, run in zip(repeats, trajectories, runs):
         truth = traj.s[lo - 1:]

@@ -1,4 +1,5 @@
 import math
+import pickle
 from functools import partial
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as hst
 
 from scipy.stats import norm
 
-from hmmar.filters import (MODES, FilterRun, emission_mixture_problem, log_emissions,
-                           nonparametric_step, optimal_step, posterior_update, run_filters,
-                           warmup_threshold)
-from hmmar.harness import emit_trace
+from hmmar.filters import (MODES, FilterRun, SeriesError, emission_mixture_problem,
+                           log_emissions, nonparametric_step, optimal_step, posterior_update,
+                           run_filters, warmup_threshold)
+from hmmar.harness import emit_trace, example_config
 from hmmar.kde import Bandwidth, embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate, stationary_distribution)
@@ -375,6 +376,11 @@ class TestNonparametricStep:
         with pytest.raises(ValueError):
             nonparametric_step(np.zeros(50), n=3, model=example_model(), tau=2, l=1, h=0.5)
 
+    def test_requires_x_n(self):
+        x = simulate(example_model(), 150, burn_in=50, rng_seed=13).x
+        with pytest.raises(ValueError, match=r"^series has 150 values, step n = 151 needs x_n$"):
+            nonparametric_step(x, n=151, model=example_model(), tau=2, l=1, h=0.2)
+
 
 class TestRunFilters:
     def test_empty_window(self):
@@ -405,6 +411,15 @@ class TestRunFilters:
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
         with pytest.raises(ValueError):
             run_filters([traj], model, tau=2, l=1, eval_start=10)
+
+    def test_eval_start_must_clear_the_ar_order(self):
+        # the optimal filter alone has no warm-up; its first step needs p lags
+        model = example_model()
+        traj = simulate(model, 60, burn_in=10, rng_seed=19)
+        with pytest.raises(ValueError, match="^eval_start must exceed the AR order 2$"):
+            run_filters([traj], model, eval_start=2, mode="optimal")
+        run = run_filters([traj], model, eval_start=3, mode="optimal")[0]
+        assert run.optimal_posterior.shape == (58, 3)
 
     def test_well_separated_states_filter_nearly_perfectly(self):
         model = separated_model()
@@ -613,5 +628,55 @@ def test_default_bandwidth_rejects_too_narrow_series():
     # UCV's 1/h^3 would overflow on this series; oversmoothed_bandwidth rejects it first
     x = 1e-110 * np.random.default_rng(0).standard_normal(300)
     traj = Trajectory(s=np.ones(300, dtype=int), x=x)
-    with pytest.raises(ValueError, match="^h_plus .* is below"):
+    with pytest.raises(ValueError, match="^series 0: h_plus .* is below"):
         run_filters([traj], example_model(), eval_start=201, mode="nonparametric")
+
+
+def example_series(n: int = 600, seed: int = 0, factor: float = 1.0) -> Trajectory:
+    """The example config's series of ``seed``, its observations times ``factor``."""
+    cfg = example_config()
+    traj = simulate(cfg.model, n, cfg.burn_in, seed)
+    return Trajectory(s=traj.s, x=factor * traj.x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_past_the_float_range_fails_before_any_arithmetic():
+    # unchecked, this series warns twice and then fails at n = 501 as no probability
+    # vector; the range check names it before the block's arrays exist
+    with pytest.raises(SeriesError, match=r"^series 0 reaches 1\.3e\+160, past 1\.37e\+152, "
+                                          r"where the filters' arithmetic overflows$") as info:
+        run_filters([example_series(factor=1e160)], example_config().model, eval_start=501,
+                    mode="optimal")
+    assert info.value.index == 0
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("bandwidth", [None, Bandwidth(0.2)])
+def test_first_series_out_of_range_gives_its_place_in_the_block(bandwidth):
+    block = [example_series(200, 0), example_series(200, 1), example_series(200, 2, 1e200)]
+    with pytest.raises(SeriesError, match="^series 2 reaches ") as info:
+        run_filters(block, example_config().model, eval_start=101, bandwidth=bandwidth)
+    assert info.value.index == 2
+    assert info.value.tail.startswith(" reaches ")
+
+
+def test_ucv_failure_gives_its_place_in_the_block():
+    # the range check passes a tiny series; UCV's own floor then refuses it
+    block = [example_series(200, 0), example_series(200, 1, 1e-130), example_series(200, 2)]
+    with pytest.raises(SeriesError, match=r"^series 1: h_plus .* is below .*, where UCV's 1/h\^3"):
+        run_filters(block, example_config().model, eval_start=101)
+    # a pinned bandwidth runs no UCV, and the series is in the filters' float range
+    runs = run_filters(block, example_config().model, eval_start=101, bandwidth=Bandwidth(0.2))
+    assert len(runs) == 3
+
+
+def test_series_error_survives_pickling():
+    with pytest.raises(SeriesError) as info:
+        run_filters([example_series(200, 0), example_series(200, 1, 1e200)],
+                    example_config().model, eval_start=101, mode="optimal")
+    err = info.value
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SeriesError
+    assert (back.index, back.tail, str(back)) == (1, err.tail, str(err))
+    assert back.args == (1, err.tail)
+    assert str(back) == f"series 1{err.tail}"

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,17 +206,82 @@ class TestRunExperiment:
         assert b"method,task,mean_error,stderr,repeats" in a
 
     def test_parallel_equals_serial(self, tmp_path, monkeypatch):
+        # summary.csv and every trace file, byte for byte
         cfg = config_from_dict(small_doc(repeats=4))
-        run_experiment(cfg, out_dir=tmp_path / "serial")
+        monkeypatch.delenv("HMMAR_THREADS", raising=False)
+        run_experiment(cfg, out_dir=tmp_path / "serial", trace=True)
         monkeypatch.setenv("HMMAR_THREADS", "2")
-        run_experiment(cfg, out_dir=tmp_path / "par")
-        assert ((tmp_path / "serial" / "summary.csv").read_bytes()
-                == (tmp_path / "par" / "summary.csv").read_bytes())
+        run_experiment(cfg, out_dir=tmp_path / "par", trace=True)
+        names = ["summary.csv", *(f"trace_{r}.csv" for r in range(4))]
+        for side in ("serial", "par"):
+            assert sorted(f.name for f in (tmp_path / side).iterdir()) == sorted(names)
+        for name in names:
+            serial, par = ((tmp_path / side / name).read_bytes() for side in ("serial", "par"))
+            assert serial == par, name
 
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("HMMAR_THREADS", "many")
         with pytest.raises(ConfigError, match="HMMAR_THREADS"):
             run_experiment(config_from_dict(small_doc(repeats=1)))
+
+    def test_negative_thread_count_rejected(self, monkeypatch):
+        import hmmar.harness as harness
+        monkeypatch.setenv("HMMAR_THREADS", "-1")
+        with pytest.raises(ConfigError, match="^HMMAR_THREADS must be >= 0, got -1$"):
+            harness._worker_count(4)
+
+    def test_zero_threads_is_one_worker_per_cpu(self, monkeypatch):
+        # _worker_count only counts; no pool starts here
+        import hmmar.harness as harness
+        monkeypatch.setenv("HMMAR_THREADS", "0")
+        for repeats in (1, 2, 1000):
+            assert harness._worker_count(repeats) == min(os.cpu_count(), repeats)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # CPU count unknown
+        assert harness._worker_count(1000) == 1
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("factor,tail", [
+        (1e200, r" reaches .*, past .*, where the filters' arithmetic overflows$"),
+        (1e-130, r": h_plus .* is below .*, where UCV's 1/h\^3 overflows$"),
+    ], ids=["too-wide", "too-narrow"])
+    def test_rejected_series_names_its_seed(self, monkeypatch, threads, factor, tail):
+        # only seed 2 is out of range: index 2 of one serial block of 4, and index 0
+        # of the second block of 2 with two workers, whose ConfigError crosses the pool
+        import hmmar.harness as harness
+
+        def simulate_one_off(model, n, burn_in, rng_seed):
+            traj = simulate(model, n, burn_in, rng_seed)
+            return Trajectory(s=traj.s, x=factor * traj.x) if rng_seed == 2 else traj
+
+        monkeypatch.setattr(harness, "simulate", simulate_one_off)
+        if threads is None:
+            monkeypatch.delenv("HMMAR_THREADS", raising=False)
+        elif multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched simulate reaches pool workers only through fork")
+        else:
+            monkeypatch.setenv("HMMAR_THREADS", threads)
+        with pytest.raises(ConfigError, match="^model: the series of seed 2" + tail) as info:
+            run_experiment(config_from_dict(small_doc(repeats=4)))
+        assert type(info.value) is ConfigError
+
+    def test_nonparametric_run_embeds_each_series_once(self, monkeypatch):
+        # the range check and UCV's sample come from one embedding per series
+        import hmmar.filters as filters
+        import hmmar.harness as harness
+        calls = []
+
+        def counted(embed):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return embed(*args, **kwargs)
+            return wrapper
+
+        for module in (filters, harness):
+            if hasattr(module, "embed"):
+                monkeypatch.setattr(module, "embed", counted(module.embed))
+        monkeypatch.delenv("HMMAR_THREADS", raising=False)
+        run_experiment(replace(example_config(), mode="nonparametric"))
+        assert len(calls) == 50
 
     def test_stderr_shrinks_like_inverse_sqrt_repeats(self):
         cfg = config_from_dict(small_doc(repeats=160, mode="optimal",
@@ -290,6 +358,14 @@ class TestEmitTrace:
         short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
         with pytest.raises(ValueError, match="the run ends at n = 100"):
             emit_trace(short, run, tmp_path / "trace.csv")
+
+    def test_missing_directory_names_the_trace_file(self, tmp_path):
+        cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
+        traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
+        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0], mode="optimal")[0]
+        path = tmp_path / "missing" / "trace.csv"
+        with pytest.raises(OSError, match=f"^cannot write trace file {re.escape(str(path))}: "):
+            emit_trace(traj, run, path)
 
     def test_trace_files_written_by_run_experiment(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=2))

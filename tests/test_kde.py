@@ -112,6 +112,10 @@ class TestEmbed:
         with pytest.raises(ValueError, match="finite"):
             embed(np.array([1.0, np.nan, 2.0, 3.0]), d=2, l=1)
 
+    def test_two_dimensional_series_rejected(self):
+        with pytest.raises(ValueError, match="^x must be a 1-D series$"):
+            embed(np.ones((2, 10)), d=2, l=1)
+
     def test_vectors_without_coordinates_rejected(self):
         # the distance loop reads coordinate 0; a d = 0 sample has no kernel
         with pytest.raises(ValueError, match="d >= 1"):
@@ -317,6 +321,10 @@ class TestOversmoothedBandwidth:
         scaled = EmbeddedSample(vectors=3.5 * vectors)
         assert oversmoothed_bandwidth(scaled) == pytest.approx(
             3.5 * oversmoothed_bandwidth(sample), rel=1e-12)
+
+    def test_single_vector_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two embedded vectors$"):
+            oversmoothed_bandwidth(EmbeddedSample(np.zeros((1, 3))))
 
     def test_constant_sample_rejected(self):
         sample = EmbeddedSample(vectors=np.full((10, 1), 2.0))

@@ -37,6 +37,10 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix([[0.5, 0.5]])
 
+    def test_rejects_no_states(self):
+        with pytest.raises(ValueError, match="^transition matrix must have at least one state$"):
+            TransitionMatrix(np.zeros((0, 0)))
+
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):
             TransitionMatrix([[0.6, 0.40001], [0.5, 0.5]])

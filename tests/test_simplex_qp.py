@@ -81,8 +81,21 @@ class TestSimplexPoint:
         with pytest.raises(ValueError):
             SimplexPoint(u=np.array(u))
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="^u must be a vector$"):
+            SimplexPoint(u=[[1.0]])
+
 
 class TestSolveKkt:
+    def test_no_residual_passing_row_falls_back(self, monkeypatch):
+        # every reduced solution off by 1.0: each system's last row, sum(u) = 1, misses by at
+        # least 1, so no active set is accepted and the projected gradient answers
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) + 1.0)
+        sol = solve_kkt(np.eye(2), np.array([0.3, 0.3]))
+        assert sol.fallback and sol.lam is None
+        np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-9)
+
     def test_symmetric_instance(self):
         sol = solve_kkt(np.eye(2), np.array([0.3, 0.3]))
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-12)
