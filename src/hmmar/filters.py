@@ -37,7 +37,7 @@ WARMUP_MARGIN = 20
 
 
 def warmup_threshold(p: int, tau: int) -> int:
-    """Steps n at or below this use a uniform predictive (too little history)."""
+    """Steps n at or below this have too little history for the nonparametric filter."""
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
@@ -151,29 +151,21 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
                        tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Filter step without the transition matrix; returns ``(predictive, posterior, fallback)``.
 
-    The predictive vector is the simplex-QP solution built from x_1^{n-1};
-    the posterior applies the usual Bayes update with x_n.  ``model`` supplies
-    only the per-state emission parameters.  For n <= :func:`warmup_threshold`
-    the predictive falls back to uniform, since the kernel estimate has too
-    few vectors to mean anything; such steps should be excluded from error
-    metrics.  ``fallback`` marks a QP solved by the projected-gradient safety
-    net.
+    The predictive vector is the simplex-QP solution built from x_1^{n-1}, for every
+    M >= 1 (M = 1 gives u = [1]); the posterior applies the usual Bayes update with x_n.
+    ``model`` supplies only the per-state emission parameters.  n must exceed
+    :func:`warmup_threshold`, as :func:`run_filters`' ``eval_start`` must.  ``fallback``
+    marks a QP solved by the projected-gradient safety net.
     """
     x = np.asarray(x, dtype=float)
-    M, p = model.M, model.ar_order
-    if n <= max(p, tau + 1):
-        raise ValueError(f"step index n = {n} needs more history (p = {p}, tau = {tau})")
+    p = model.ar_order
+    if n <= (thresh := warmup_threshold(p, tau)):
+        raise ValueError(f"step n = {n} must exceed the warm-up threshold {thresh}")
     if x.shape[0] < n:
         raise ValueError(f"series has {x.shape[0]} values, step n = {n} needs x_n")
-
-    if M == 1 or n <= warmup_threshold(p, tau):
-        predictive, fallback = np.full(M, 1.0 / M), False
-    else:
-        sol = solve_kkt(*emission_mixture_problem(x, n, model, tau, l, h))
-        predictive, fallback = sol.u, sol.fallback
-
+    sol = solve_kkt(*emission_mixture_problem(x, n, model, tau, l, h))
     history = x[n - 1 - p:n - 1][::-1]
-    return predictive, posterior_update(predictive, x[n - 1], history, model), fallback
+    return sol.u, posterior_update(sol.u, x[n - 1], history, model), sol.fallback
 
 
 class SeriesError(ValueError):
@@ -231,14 +223,15 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     in lockstep: each step is one set of numpy calls on the block's (R, M) rows, bit for
     bit as R blocks of one.  One (steps, R, M) buffer over steps n = p + 1 .. len(x)
     holds in turn each series' AR means, read by the nonparametric prediction pass (each
-    step's QPs solved as in :func:`nonparametric_step`); their log-emissions, made in
-    place and read by the one Bayes update of every nonparametric x_n; and the optimal
-    filter's posteriors, each row over its own log-emissions, from the stationary
-    distribution at n = p + 1 on.  If ``bandwidth`` is None it is selected per
-    trajectory by UCV on the delay embedding (dimension tau + 1) of its whole series;
-    pass one to pin it, e.g. when checking causality.  ``eval_start`` must exceed
-    :func:`warmup_threshold` if the nonparametric filter runs, else the AR order.  Each series
-    in turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
+    step's QPs, for any M >= 1, solved as in :func:`nonparametric_step`); their
+    log-emissions, made in place and read by the one Bayes update of every nonparametric
+    x_n; and the optimal filter's posteriors, each row over its own log-emissions, from
+    the stationary distribution at n = p + 1 on.  ``eval_start`` must exceed
+    :func:`warmup_threshold` if the nonparametric filter runs, else the AR order.  If
+    ``bandwidth`` is None it is selected per trajectory by UCV on the delay embedding
+    (dimension tau + 1, stride l) of its whole series, and the block's length must leave
+    two delay vectors; pass one to pin it, e.g. when checking causality.  Each series in
+    turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
     does not raises a :class:`SeriesError`.  Every row is checked to be a probability vector.
     """
     if mode not in MODES:
@@ -247,14 +240,16 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     if len(lengths) != 1:
         raise ValueError(f"need one or more trajectories of one length, got lengths {lengths}")
     p = model.ar_order
-    thresh = warmup_threshold(p, tau)
-    if mode != "optimal" and eval_start <= thresh:
-        raise ValueError(f"eval_start must exceed the warm-up threshold {thresh}")
-    if eval_start <= p:
-        raise ValueError(f"eval_start must exceed the AR order {p}")
+    floor, what = ((p, "the AR order") if mode == "optimal"
+                   else (warmup_threshold(p, tau), "the warm-up threshold"))
+    if eval_start <= floor:
+        raise ValueError(f"eval_start must exceed {what} {floor}")
     R, n_len, M = len(trajectories), lengths[0], model.M
     T = max(n_len + 1 - eval_start, 0)
     h = None if bandwidth is None else bandwidth.h
+    ucv = mode != "optimal" and T > 0 and h is None
+    if ucv and n_len - tau - 1 < l:
+        raise ValueError(f"l = {l} leaves fewer than two delay vectors in x_1^{n_len}")
     # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
     # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
     # at most n_len squares, and the emissions divide one by 2 b^2.  UCV checks its own range.
@@ -266,7 +261,7 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
             raise SeriesError(i, f" reaches {peak:.3g}, past {limit:.3g}, "
                                  "where the filters' arithmetic overflows")
         try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
-            if mode != "optimal" and T and h is None:
+            if ucv:
                 fits.append([ucv_bandwidth(embed(t.x, d=tau + 1, l=l)).h])
         except ValueError as exc:
             raise SeriesError(i, f": {exc}") from None
@@ -282,10 +277,9 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     k0 = eval_start - p - 1  # row of step n = eval_start
 
     if mode != "optimal":
-        # The predictive stays uniform for M = 1, as in nonparametric_step.
-        npar_pred = np.full((T, R, M), 1.0 / M)
+        npar_pred = np.empty((T, R, M))
         b2 = model.b2.tolist()
-        for k in range(T if M > 1 else 0):
+        for k in range(T):
             means_n = buf[k0 + k]
             c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
             for r in range(R):

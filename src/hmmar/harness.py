@@ -85,13 +85,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"eval_window must satisfy 1 <= lo <= hi <= n_total, got ({lo}, {hi})"
             )
-        thresh = warmup_threshold(self.model.ar_order, self.tau)
-        if lo <= thresh:
-            raise ConfigError(
-                f"eval_window start {lo} must exceed the warm-up threshold {thresh}"
-            )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        p = self.model.ar_order  # run_filters' rule for eval_start
+        floor, what = ((p, "the AR order") if self.mode == "optimal"
+                       else (warmup_threshold(p, self.tau), "the warm-up threshold"))
+        if lo <= floor:
+            raise ConfigError(f"eval_window start {lo} must exceed {what} {floor}")
         if self.mode != "optimal" and hi - self.tau - 1 < self.l:
             raise ConfigError(f"l = {self.l} leaves fewer than two delay vectors in x_1^{hi}")
 

@@ -187,7 +187,7 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
     for _ in range(t.M.bit_length()):
         reach = reach @ reach
     if not reach.all():
-        raise ValueError("chain is reducible: stationary distribution is not unique")
+        raise ValueError("chain is reducible: some state cannot reach another")
     A, exits = P.copy(), np.ones(t.M)
     for k in range(t.M - 1, 0, -1):  # censor state k: its flows pass to states 0..k-1
         exits[k] = A[k, :k].sum()
@@ -237,9 +237,9 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
         chain.append(state)
     s = np.array(chain)
 
-    # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from
-    # it, and every simulated trajectory's bytes depend on this expression.  The
-    # dot stays numpy's: OpenBLAS fuses its multiply-adds, a Python sum would not.
+    # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from it, and every
+    # trajectory's bytes depend on this expression.  The dot is BLAS ddot, so those bytes hold
+    # per host class: OpenBLAS's AVX-512 kernels fuse its multiply-adds, its AVX2 ones do not.
     mu, a = model.mu.tolist(), list(model.a)
     noise = model.b[s] * rng_noise.standard_normal(total)  # as a list, 0.3 MB more peak RSS
 

@@ -122,13 +122,13 @@ def _active_set_table(M: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]
 def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
     """Global minimizer of u' C u - 2 c' u over the simplex by KKT enumeration.
 
-    ``C`` must be a finite symmetric M x M matrix (M >= 2) and ``c`` a finite
+    ``C`` must be a finite symmetric M x M matrix (M >= 1) and ``c`` a finite
     length-M vector.  Each active set (see :func:`_active_set_table`) fixes
     u_i = 0 for its flagged coordinates and lambda_i = 0 for the rest; the
-    first whose solution has (numerically) nonnegative u and lambda is
-    returned.  If C fails the positive-definiteness test, no active set is
-    feasible, or a reduced system is exactly singular, the projected-gradient
-    fallback is used and flagged.
+    first whose solution has (numerically) nonnegative u and lambda is returned
+    (for M = 1 the one system, [[C00, 1], [1, 0]], gives u = [1]).  If C fails the
+    positive-definiteness test, no active set is feasible, or a reduced system
+    is exactly singular, the projected-gradient fallback is used and flagged.
     """
     C = np.asarray(C, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -137,13 +137,13 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
     M = C.shape[0]
     if c.shape != (M,):
         raise ValueError(f"c must have length {M}, got shape {c.shape}")
-    if M < 2:
-        raise ValueError(f"need at least 2 states, got M = {M}")
+    if M < 1:
+        raise ValueError(f"need at least 1 state, got M = {M}")
     rows, c_list = C.tolist(), c.tolist()
     flat = [*c_list, *chain.from_iterable(rows)]
     if not all(map(math.isfinite, flat)):
         raise ValueError("C and c must be finite")
-    asym = max(abs(rows[i][j] - rows[j][i]) for i in range(M) for j in range(i))
+    asym = max((abs(rows[i][j] - rows[j][i]) for i in range(M) for j in range(i)), default=0.0)
     if asym > _SYM_TOL:
         raise ValueError(f"C must be symmetric within {_SYM_TOL:g}; max asymmetry {asym:.3e}")
 

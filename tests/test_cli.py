@@ -236,6 +236,29 @@ def test_chain_with_exits_below_the_float_range_runs(tmp_path, command, transiti
     assert result == 0, err
 
 
+@pytest.mark.parametrize("start", [2, 3, 10])
+def test_optimal_only_window_starts_past_the_ar_order(tmp_path, start):
+    # run_filters records an optimal-only run from n = p + 1 = 3, and validate and run ask the
+    # same; the warm-up threshold, 23 here, binds once the nonparametric filter runs
+    path = example_with(tmp_path, lambda doc: doc.update(mode="optimal",
+                                                         eval_window=[start, 600]))
+    out = tmp_path / "out"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        result, err = run_cli([*args, "--config", path])
+        if start > 2:
+            assert result == 0, err
+        else:
+            assert (result, err) == (2, "config error: eval_window start 2 must exceed "
+                                        "the AR order 2\n")
+    assert out.exists() == (start > 2)
+    if start > 2:
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["optimal", "filtering"],
+                                                        ["optimal", "prediction"]]
+        assert run_cli(["run", "--config", path, "--mode", "both"]) == (
+            2, f"config error: eval_window start {start} must exceed the warm-up threshold 23\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_reducible_chain_exits_2(config_path, command, capsys):
     # no unique stationary distribution for the optimal filter to start from
@@ -374,8 +397,10 @@ def state_count(doc):
     return len(doc["model"]["states"])
 
 
-def warmup_start(doc):
-    return warmup_threshold(len(doc["model"]["states"][0]["a"]), doc["tau"])
+def refused_start(doc):
+    """Largest refused window start: the AR order in mode optimal, else the warm-up threshold."""
+    p = len(doc["model"]["states"][0]["a"])
+    return p if doc["mode"] == "optimal" else warmup_threshold(p, doc["tau"])
 
 
 def without_last(seq, doc):
@@ -397,7 +422,7 @@ SPOILERS = [
     ("window-text", ("eval_window",), lambda w, d: f"{w[0]},{w[1]}", "eval_window"),
     ("window-reversed", ("eval_window",), lambda w, d: [w[1] + 1, w[1]], "eval_window"),
     ("window-past-end", ("eval_window",), lambda w, d: [w[0], d["n_total"] + 1], "eval_window"),
-    ("window-warm-up", ("eval_window",), lambda w, d: [warmup_start(d), w[1]], "eval_window"),
+    ("window-warm-up", ("eval_window",), lambda w, d: [refused_start(d), w[1]], "eval_window"),
     ("stride-too-long", ("l",), lambda l, d: d["eval_window"][1] - d["tau"], "l = "),
     ("mode-case", ("mode",), "Both", "mode"),
     ("mode-null", ("mode",), None, "mode"),

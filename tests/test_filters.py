@@ -351,14 +351,18 @@ class TestNonparametricStep:
         assert fallback
         assert posterior[0] == pytest.approx(posterior[1], abs=1e-9)
 
-    def test_warmup_steps_use_uniform_predictive(self):
+    def test_warmup_steps_are_refused(self):
+        # run_filters refuses such an eval_start; the per-step reference refuses the step
         model = example_model()
         traj = simulate(model, 100, burn_in=50, rng_seed=13)
         thresh = warmup_threshold(model.ar_order, 2)
-        predictive, _, _ = nonparametric_step(traj.x, n=thresh, model=model, tau=2, l=1, h=0.2)
-        np.testing.assert_allclose(predictive, np.full(3, 1/3), atol=1e-14)
-        predictive, _, _ = nonparametric_step(traj.x, n=thresh + 1, model=model, tau=2, l=1,
-                                              h=0.2)
+        with pytest.raises(ValueError, match=f"^step n = {thresh} must exceed the warm-up "
+                                             f"threshold {thresh}$"):
+            nonparametric_step(traj.x, n=thresh, model=model, tau=2, l=1, h=0.2)
+        predictive, _, fallback = nonparametric_step(traj.x, n=thresh + 1, model=model, tau=2,
+                                                     l=1, h=0.2)
+        sol = solve_kkt(*emission_mixture_problem(traj.x, thresh + 1, model, 2, 1, 0.2))
+        assert np.array_equal(predictive, sol.u) and fallback == sol.fallback
         assert np.max(np.abs(predictive - 1/3)) > 1e-6
 
     def test_prediction_is_blind_to_x_n(self):
@@ -630,6 +634,32 @@ def test_default_bandwidth_rejects_too_narrow_series():
     traj = Trajectory(s=np.ones(300, dtype=int), x=x)
     with pytest.raises(ValueError, match="^series 0: h_plus .* is below"):
         run_filters([traj], example_model(), eval_start=201, mode="nonparametric")
+
+
+def test_block_with_one_delay_vector_is_refused_before_ucv():
+    # a block rule, as the config's: one message for the block, not a SeriesError of series 0
+    model = example_model()
+    trajs = [simulate(model, 30, burn_in=10, rng_seed=s) for s in (0, 1)]
+    with pytest.raises(ValueError, match=r"^l = 28 leaves fewer than two delay vectors "
+                                         r"in x_1\^30$") as info:
+        run_filters(trajs, model, tau=2, l=28, eval_start=24)
+    assert not isinstance(info.value, SeriesError)
+    for bandwidth, mode in ((Bandwidth(0.3), "both"), (None, "optimal")):
+        runs = run_filters(trajs, model, tau=2, l=28, eval_start=24, bandwidth=bandwidth,
+                           mode=mode)
+        assert [run.optimal_posterior.shape for run in runs] == [(7, 3)] * 2
+
+
+def test_single_state_step_is_the_qp_and_flags_a_c_below_the_floor():
+    # M = 1 goes through solve_kkt like any M: u = [1], and with b = 3e11 the one entry
+    # of C, 1 / sqrt(4 pi b^2), is below the definiteness floor, so the step falls back
+    for b, flagged in ((1.0, False), (3e11, True)):
+        model = SwitchingArModel(TransitionMatrix([[1.0]]), [ArStateParams(0.0, [0.2], b)])
+        run = run_filters([simulate(model, 60, burn_in=10, rng_seed=0)], model, eval_start=30,
+                          mode="nonparametric")[0]
+        assert np.array_equal(run.nonparametric_predictive, np.ones((31, 1)))
+        assert np.array_equal(run.nonparametric_posterior, np.ones((31, 1)))
+        assert run.qp_fallback.tolist() == [flagged] * 31
 
 
 def example_series(n: int = 600, seed: int = 0, factor: float = 1.0) -> Trajectory:

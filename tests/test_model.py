@@ -134,8 +134,12 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(pi @ EXAMPLE_P, pi, atol=1e-10)
 
     def test_reducible_chain_rejected(self):
-        with pytest.raises(ValueError, match="reducible"):
-            stationary_distribution(TransitionMatrix([[1.0, 0.0], [0.0, 1.0]]))
+        # the second has the unique stationary distribution (0, 1, 0), but state 2
+        # reaches neither other state: the rule is reachability, not uniqueness
+        for p in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0, 0.0]] * 3):
+            with pytest.raises(ValueError, match="^chain is reducible: some state cannot "
+                                                 "reach another$"):
+                stationary_distribution(TransitionMatrix(p))
 
     def test_periodic_chain_converges(self):
         # period-2 chain still has a unique stationary distribution

@@ -191,9 +191,16 @@ class TestSolveKkt:
         assert sol.fallback
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-9)
 
-    def test_rejects_single_state(self):
-        with pytest.raises(ValueError):
-            solve_kkt(np.eye(1), np.array([1.0]))
+    def test_single_state_is_a_certificate(self):
+        # the one reduced system [[C00, 1], [1, 0]] gives u = [1] and lambda_eq = c0 - C00
+        for C00, c0 in ((1.0, 1.0), (0.28, -3.0), (2.5, 0.7)):
+            C, c = np.array([[C00]]), np.array([c0])
+            sol = solve_kkt(C, c)
+            assert np.array_equal(sol.u, [1.0]) and not sol.fallback
+            stat, comp, dual = kkt_residuals(C, c, sol)
+            assert stat < 1e-12 and comp == 0.0 and dual == 0.0
+        with pytest.raises(ValueError, match="^need at least 1 state, got M = 0$"):
+            solve_kkt(np.zeros((0, 0)), np.zeros(0))
 
 
 class TestStackedEnumeration:
