@@ -232,22 +232,24 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     cum_rows[:, -1] = np.maximum(cum_rows[:, -1], 1.0)  # absorb rounding in the last bin
     # State j is drawn when cum[j - 1] <= u < cum[j] (bisect_right on plain floats).
     rows, state, chain = cum_rows.tolist(), model.M, []
-    for u_k in rng_chain.random(total):
+    for u_k in memoryview(rng_chain.random(total)):  # Python floats, the same bits
         state = bisect_right(rows[state], u_k)
         chain.append(state)
     s = np.array(chain)
 
-    # Not SwitchingArModel.ar_means: mu + a (lags - mu) rounds differently from it, and every
-    # trajectory's bytes depend on this expression.  The dot is BLAS ddot, so those bytes hold
-    # per host class: OpenBLAS's AVX-512 kernels fuse its multiply-adds, its AVX2 ones do not.
-    mu, a = model.mu.tolist(), list(model.a)
-    noise = model.b[s] * rng_noise.standard_normal(total)  # as a list, 0.3 MB more peak RSS
+    # Not SwitchingArModel.ar_means: mu + (a . (lags - mu)) rounds apart from it.  The step
+    # sums in Python floats, lag by lag in index order, so every kernel gives the same bits.
+    mu, a = model.mu.tolist(), model.a.tolist()
+    noise = memoryview(model.b[s] * rng_noise.standard_normal(total))
 
     x = np.empty(p + total)
     x[:p] = mu[chain[0]]
-    for k, (m, e) in enumerate(zip(chain, noise)):
-        lags = x[k:p + k][::-1]  # x[n-1], ..., x[n-p]
-        x[p + k] = mu[m] + a[m] @ (lags - mu[m]) + e
+    out = memoryview(x)  # reads and writes Python floats
+    for k, (m, e) in enumerate(zip(chain, noise), p):
+        mu_m, dot = mu[m], 0.0
+        for i, a_i in enumerate(a[m], 1):  # a_i (x[n-i] - mu), i = 1, ..., p
+            dot += a_i * (out[k - i] - mu_m)
+        out[k] = mu_m + dot + e
 
     return Trajectory(s=s[burn_in:] + 1, x=x[p + burn_in:])
 

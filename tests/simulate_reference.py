@@ -1,8 +1,10 @@
 """Reference form of ``hmmar.model.simulate``: numpy indexing at every step.
 
 ``simulate`` must reproduce :func:`reference_simulate` bit for bit; it reads the
-per-state parameters as Python floats and draws the scaled noise in one product,
-which must not move a byte of any trajectory.
+per-state parameters, the uniforms and the noise as Python floats and draws the
+scaled noise in one product, which must not move a byte of any trajectory.  Both
+sum the AR terms one scalar operation at a time in lag order, which rounds the
+same on every BLAS kernel and CPU dispatch path.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ def reference_simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     x = np.empty(p + total)
     x[:p] = mu[s[0]]
     for k in range(total):
-        m = s[k]
-        lags = x[k:p + k][::-1]  # x[n-1], ..., x[n-p]
-        x[p + k] = mu[m] + a[m] @ (lags - mu[m]) + b[m] * xi[k]
+        m, dot = s[k], 0.0
+        for i in range(p):  # a_i (x[n-1-i] - mu), lag x[n-1] first
+            dot += a[m, i] * (x[p + k - 1 - i] - mu[m])
+        x[p + k] = mu[m] + dot + b[m] * xi[k]
 
     return Trajectory(s=s[burn_in:] + 1, x=x[p + burn_in:])

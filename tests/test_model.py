@@ -1,7 +1,13 @@
 import hashlib
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +286,43 @@ class TestStationaryDistribution:
         assert set(verdicts) == ({False} if M == 1 else {False, True})
 
 
+# The models whose trajectory bytes are pinned below.
+PINNED_MODELS = {
+    "example": example_model,
+    "two_state_p1": lambda: SwitchingArModel(
+        TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
+        [ArStateParams(0.0, [0.5], 0.3), ArStateParams(1.0, [-0.3], 0.5)]),
+    "four_state_initial": lambda: SwitchingArModel(
+        TransitionMatrix([[0.7, 0.1, 0.1, 0.1], [0.0, 0.5, 0.5, 0.0],
+                          [0.25, 0.25, 0.25, 0.25], [0.3, 0.0, 0.0, 0.7]]),
+        [ArStateParams(0.0, [0.1, 0.2, 0.3], 0.1), ArStateParams(0.5, [0.2, 0.3, -0.1], 0.2),
+         ArStateParams(1.0, [0.1, 0.4, 0.0], 0.1), ArStateParams(-1.0, [0.0, 0.0, 0.5], 0.4)],
+        initial_dist=[0.0, 0.0, 1.0, 0.0]),
+}
+# (name, n, burn_in, seed, s_sha256, x_sha256): digests of s (little-endian int64) and x
+# (little-endian float64) of simulate(PINNED_MODELS[name](), n, burn_in, seed)
+PINNED_RUNS = [
+    ("example", 5000, 100, 3,
+     "e83a6c9476c4bf5ccb442deb490113204c4c81b2251abacf97add3509069af99",
+     "4dbf3df468540a99d8bb38ea8c167d8d510d8ffbfad2b09f149b34b97eff11bb"),
+    ("two_state_p1", 3000, 0, 91,
+     "4072258a26acb5b4e436bc0819bcf45dfc8cf4e3dc634a4d07f27d6dd71dfb71",
+     "3a10a95d2ab7008500bbaab348d9cee84b4a8f4fd34b39ef8423a7ac8cef2547"),
+    ("four_state_initial", 4000, 20, 12345,
+     "8a99af5bd6ebd471baccbdd81d3da5a5209a573e6d690885802393b5710c0604",
+     "29059bd179d30a14e1500689a41de0b1b263991f04bdc77a2be08b1157fce700"),
+]
+
+# Hashes simulate's (s, x) bytes for each pickled (model, n, burn_in, seed) read from stdin.
+_HASH_CHILD = """
+import hashlib, pickle, sys
+from hmmar.model import simulate
+for model, n, burn_in, seed in pickle.load(sys.stdin.buffer):
+    traj = simulate(model, n, burn_in, seed)
+    print(hashlib.sha256(traj.s.astype("<i8").tobytes() + traj.x.astype("<f8").tobytes()).hexdigest())
+"""
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self):
         model = example_model()
@@ -363,36 +406,47 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(example_model(), 10, burn_in=-1)
 
-    @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256", [
-        ("example", 5000, 100, 3,
-         "e83a6c9476c4bf5ccb442deb490113204c4c81b2251abacf97add3509069af99",
-         "a5e19593a0fb8b870a17e60e15b42638b4176dc4901b3561863a403d7901db32"),
-        ("two_state_p1", 3000, 0, 91,
-         "4072258a26acb5b4e436bc0819bcf45dfc8cf4e3dc634a4d07f27d6dd71dfb71",
-         "3a10a95d2ab7008500bbaab348d9cee84b4a8f4fd34b39ef8423a7ac8cef2547"),
-        ("four_state_initial", 4000, 20, 12345,
-         "8a99af5bd6ebd471baccbdd81d3da5a5209a573e6d690885802393b5710c0604",
-         "87be80c9d9ace3069e9c2b82c932a90b2f58f1071518f3f108446cc0241cf5c3"),
-    ])
+    @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256", PINNED_RUNS)
     def test_trajectory_bytes_are_pinned(self, name, n, burn_in, seed, s_sha256, x_sha256):
-        # digests of s (little-endian int64) and x (little-endian float64) fixed
-        # when the test was written: any change to the chain sampler, the
-        # seeding or the AR recursion shows here
-        models = {
-            "example": example_model,
-            "two_state_p1": lambda: SwitchingArModel(
-                TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
-                [ArStateParams(0.0, [0.5], 0.3), ArStateParams(1.0, [-0.3], 0.5)]),
-            "four_state_initial": lambda: SwitchingArModel(
-                TransitionMatrix([[0.7, 0.1, 0.1, 0.1], [0.0, 0.5, 0.5, 0.0],
-                                  [0.25, 0.25, 0.25, 0.25], [0.3, 0.0, 0.0, 0.7]]),
-                [ArStateParams(0.0, [0.1, 0.2, 0.3], 0.1), ArStateParams(0.5, [0.2, 0.3, -0.1], 0.2),
-                 ArStateParams(1.0, [0.1, 0.4, 0.0], 0.1), ArStateParams(-1.0, [0.0, 0.0, 0.5], 0.4)],
-                initial_dist=[0.0, 0.0, 1.0, 0.0]),
-        }
-        traj = simulate(models[name](), n, burn_in, seed)
+        # any change to the chain sampler, the seeding or the AR recursion shows here
+        traj = simulate(PINNED_MODELS[name](), n, burn_in, seed)
         assert hashlib.sha256(traj.s.astype("<i8").tobytes()).hexdigest() == s_sha256
         assert hashlib.sha256(traj.x.astype("<f8").tobytes()).hexdigest() == x_sha256
+
+    def test_trajectory_bytes_do_not_depend_on_the_kernel(self):
+        # the AR step sums in Python floats, so OpenBLAS's AVX2 kernel and numpy without
+        # its AVX-512 dispatch give the bytes of the defaults; each setting in its own child
+        runs = pickle.dumps([(PINNED_MODELS[name](), n, burn_in, seed)
+                             for name, n, burn_in, seed, *_ in PINNED_RUNS])
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        settings = [{}, {"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+                    {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4"}]
+        children = [subprocess.Popen([sys.executable, "-c", _HASH_CHILD], env=dict(base, **setting),
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE)
+                    for setting in settings]
+        digests = []
+        for setting, child in zip(settings, children):
+            out, err = child.communicate(runs, timeout=120)
+            assert child.returncode == 0, (setting, err.decode()[-2000:])
+            digests.append(out.decode().split())
+        for name, per_model in zip((run[0] for run in PINNED_RUNS), zip(*digests)):
+            assert len(set(per_model)) == 1, (name, per_model)
+
+    def test_memory_peak_holds_no_float_list_of_the_series(self):
+        # x, the scaled noise and the uniforms are arrays read through memoryviews: a
+        # 499 KiB peak here, where a Python float list as long as the series reached 954 KiB
+        model = example_model()
+        simulate(model, 10_000, burn_in=100)  # warm-up: stationary, caches
+        tracemalloc.start()
+        try:
+            simulate(model, 10_000, burn_in=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 550 * 2**10
 
 
 class TestTrajectory:
