@@ -18,15 +18,15 @@ sample = embed(traj.x, d=tau + 1, l=config.l)
 print(f"embedded {len(traj)} observations into N={sample.N} vectors of dimension {sample.d}")
 
 h_plus = oversmoothed_bandwidth(sample)
-bw = ucv_bandwidth(sample)
+h_ucv = ucv_bandwidth(sample)
 print(f"oversmoothed bound h+  = {h_plus:.5f}")
-print(f"UCV-selected bandwidth = {bw.h:.5f}")
+print(f"UCV-selected bandwidth = {h_ucv:.5f}")
 
 print("\nUCV score along a log grid")
 print("(the score blows up as h -> 0, which is why the search is bracketed):")
 grid = np.geomspace(0.02 * h_plus, h_plus, 16)
 scores = [ucv_objective(sample, h) for h in grid]
-closest = int(np.argmin(np.abs(np.log(grid) - np.log(bw.h))))
+closest = int(np.argmin(np.abs(np.log(grid) - np.log(h_ucv))))
 for i, (h, s) in enumerate(zip(grid, scores)):
     mark = "  <-- selected" if i == closest else ""
     print(f"  h={h:8.5f}  UCV={s:+10.4f}{mark}")

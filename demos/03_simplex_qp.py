@@ -9,15 +9,14 @@ KKT optimality conditions and compares the solution with the filter's own.
 """
 import numpy as np
 
-from hmmar import (Bandwidth, conditional_weights, embed, example_config,
-                   is_positive_definite, product_integral, run_filters, simulate,
-                   solve_kkt, ucv_bandwidth)
+from hmmar import (conditional_weights, embed, example_config, is_positive_definite,
+                   product_integral, run_filters, simulate, solve_kkt, ucv_bandwidth)
 from hmmar.kde import embedding_heads
 
 config = example_config()
 model, tau, l = config.model, config.tau, config.l
 traj = simulate(model, n=600, burn_in=100, rng_seed=0)
-h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l)).h
+h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))
 
 n = 550
 p = model.ar_order
@@ -50,7 +49,6 @@ print("\nstationarity residual    ", f"{np.max(np.abs(stat)):.2e}")
 print("complementary slackness  ", f"{np.max(np.abs(sol.lam[:-1] * sol.u)):.2e}")
 print("dual feasibility min lam ", f"{sol.lam[:-1].min():.2e}")
 
-run = run_filters([traj], model, tau, l, eval_start=n, bandwidth=Bandwidth(h),
-                  mode="nonparametric")[0]
+run = run_filters([traj], model, tau, l, eval_start=n, h=h, mode="nonparametric")[0]
 gap = np.max(np.abs(run.nonparametric_predictive[0] - sol.u))
 print(f"\nrun_filters' predictive at n: max |difference| = {gap:.1e}")

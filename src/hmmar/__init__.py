@@ -14,8 +14,8 @@ from .gaussian import product_integral
 from .harness import (ConfigError, ErrorStat, ErrorSummary, ExperimentConfig,
                       config_from_dict, emit_trace, example_config,
                       example_config_path, load_config, run_experiment)
-from .kde import (Bandwidth, EmbeddedSample, conditional_weights, embed,
-                  oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
+from .kde import (EmbeddedSample, conditional_weights, embed, oversmoothed_bandwidth,
+                  ucv_bandwidth, ucv_objective)
 from .model import (ArStateParams, SwitchingArModel, Trajectory,
                     TransitionMatrix, model_from_dict, simulate,
                     stationary_distribution)
@@ -24,7 +24,7 @@ from .simplex_qp import SimplexPoint, is_positive_definite, solve_kkt
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArStateParams", "Bandwidth", "ConfigError", "EmbeddedSample", "ErrorStat",
+    "ArStateParams", "ConfigError", "EmbeddedSample", "ErrorStat",
     "ErrorSummary", "ExperimentConfig", "FilterRun", "SimplexPoint",
     "SwitchingArModel", "Trajectory", "TransitionMatrix",
     "conditional_weights", "config_from_dict", "embed", "emit_trace",

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import product_integral
-from .kde import Bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
+from .kde import _check_bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
 from .model import SwitchingArModel, Trajectory
 from .simplex_qp import solve_kkt
 
@@ -39,6 +39,20 @@ WARMUP_MARGIN = 20
 def warmup_threshold(p: int, tau: int) -> int:
     """Steps n at or below this have too little history for the nonparametric filter."""
     return max(p, tau + 1) + WARMUP_MARGIN
+
+
+def check_window(p: int, tau: int, l: int, mode: str, lo: int, hi: int, ucv: bool = True) -> None:
+    """A ValueError unless ``mode`` is one of :data:`MODES` and steps lo .. hi of AR(p) series suit
+    it: lo must exceed :func:`warmup_threshold` if the nonparametric filter runs, else p, and a
+    UCV fit (``ucv``) of x_1^hi needs two delay vectors of dimension tau + 1, stride l."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    floor, what = ((p, "the AR order") if mode == "optimal"
+                   else (warmup_threshold(p, tau), "the warm-up threshold"))
+    if lo <= floor:
+        raise ValueError(f"eval_window start {lo} must exceed {what} {floor}")
+    if ucv and mode != "optimal" and hi - tau - 1 < l:
+        raise ValueError(f"l = {l} leaves fewer than two delay vectors in x_1^{hi}")
 
 
 def log_emissions(x_n: float | np.ndarray, means: np.ndarray, model: SwitchingArModel,
@@ -214,7 +228,7 @@ class FilterRun:
 
 
 def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau: int = 2,
-                l: int = 1, *, eval_start: int, bandwidth: Optional[Bandwidth] = None,
+                l: int = 1, *, eval_start: int, h: Optional[float] = None,
                 mode: str = "both") -> list[FilterRun]:
     """Run the filters ``mode`` selects (one of :data:`MODES`) on a block of trajectories.
 
@@ -226,30 +240,22 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     step's QPs, for any M >= 1, solved as in :func:`nonparametric_step`); their
     log-emissions, made in place and read by the one Bayes update of every nonparametric
     x_n; and the optimal filter's posteriors, each row over its own log-emissions, from
-    the stationary distribution at n = p + 1 on.  ``eval_start`` must exceed
-    :func:`warmup_threshold` if the nonparametric filter runs, else the AR order.  If
-    ``bandwidth`` is None it is selected per trajectory by UCV on the delay embedding
-    (dimension tau + 1, stride l) of its whole series, and the block's length must leave
-    two delay vectors; pass one to pin it, e.g. when checking causality.  Each series in
+    the stationary distribution at n = p + 1 on.  Steps eval_start .. len(x) must pass
+    :func:`check_window`.  If the bandwidth ``h`` is None it is selected per trajectory
+    by UCV on the delay embedding (dimension tau + 1, stride l) of its whole series;
+    pass a float 0 < h < inf to pin it, e.g. when checking causality.  Each series in
     turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
     does not raises a :class:`SeriesError`.  Every row is checked to be a probability vector.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if h is not None:
+        _check_bandwidth(h)
     lengths = sorted({len(t) for t in trajectories})
     if len(lengths) != 1:
         raise ValueError(f"need one or more trajectories of one length, got lengths {lengths}")
-    p = model.ar_order
-    floor, what = ((p, "the AR order") if mode == "optimal"
-                   else (warmup_threshold(p, tau), "the warm-up threshold"))
-    if eval_start <= floor:
-        raise ValueError(f"eval_start must exceed {what} {floor}")
-    R, n_len, M = len(trajectories), lengths[0], model.M
+    p, R, n_len, M = model.ar_order, len(trajectories), lengths[0], model.M
     T = max(n_len + 1 - eval_start, 0)
-    h = None if bandwidth is None else bandwidth.h
     ucv = mode != "optimal" and T > 0 and h is None
-    if ucv and n_len - tau - 1 < l:
-        raise ValueError(f"l = {l} leaves fewer than two delay vectors in x_1^{n_len}")
+    check_window(p, tau, l, mode, eval_start, n_len, ucv)
     # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
     # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
     # at most n_len squares, and the emissions divide one by 2 b^2.  UCV checks its own range.
@@ -262,7 +268,7 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
                                  "where the filters' arithmetic overflows")
         try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
             if ucv:
-                fits.append([ucv_bandwidth(embed(t.x, d=tau + 1, l=l)).h])
+                fits.append([ucv_bandwidth(embed(t.x, d=tau + 1, l=l))])
         except ValueError as exc:
             raise SeriesError(i, f": {exc}") from None
     h = np.array(fits) if fits else h

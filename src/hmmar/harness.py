@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import MODES, FilterRun, SeriesError, run_filters, warmup_threshold
+from .filters import FilterRun, SeriesError, check_window, run_filters
 from .model import SwitchingArModel, Trajectory, check_fields, model_from_dict, simulate
 
 #: (method, task, FilterRun field scored) of each summary row, in output order.  A
@@ -85,15 +85,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"eval_window must satisfy 1 <= lo <= hi <= n_total, got ({lo}, {hi})"
             )
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        p = self.model.ar_order  # run_filters' rule for eval_start
-        floor, what = ((p, "the AR order") if self.mode == "optimal"
-                       else (warmup_threshold(p, self.tau), "the warm-up threshold"))
-        if lo <= floor:
-            raise ConfigError(f"eval_window start {lo} must exceed {what} {floor}")
-        if self.mode != "optimal" and hi - self.tau - 1 < self.l:
-            raise ConfigError(f"l = {self.l} leaves fewer than two delay vectors in x_1^{hi}")
+        try:  # run_filters' rules for the window
+            check_window(self.model.ar_order, self.tau, self.l, self.mode, lo, hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -167,8 +162,7 @@ def _run_block(task) -> list[dict]:
     """
     config, repeats, trace_dir = task
     model, (lo, hi) = config.model, config.eval_window
-    with np.errstate(over="ignore", invalid="ignore"):  # run_filters rejects such a series
-        trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
+    trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
     try:
         runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
                            mode=config.mode)

@@ -72,16 +72,6 @@ class EmbeddedSample:
         return out
 
 
-@dataclass(frozen=True)
-class Bandwidth:
-    """Scalar bandwidth h; the kernel covariance matrix is h^2 I_d."""
-
-    h: float
-
-    def __post_init__(self):
-        _check_bandwidth(self.h)
-
-
 def _check_bandwidth(h: float | np.ndarray) -> None:
     """A ValueError unless 0 < h < inf: a scalar, or every entry of a block's (R, 1) h."""
     if not np.logical_and(0.0 < h, h < math.inf).all():
@@ -212,8 +202,8 @@ def _brent(f, a: float, b: float, tol: float) -> float:
     return x
 
 
-def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
-    """Bandwidth minimizing the UCV score on (0, h_plus]; h_plus must lie in UCV's float range.
+def ucv_bandwidth(sample: EmbeddedSample) -> float:
+    """Bandwidth h minimizing the UCV score on (0, h_plus]; h_plus must lie in UCV's float range.
 
     The score can carry spurious local minima near h = 0, so the search
     bracket is [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the
@@ -226,7 +216,7 @@ def ucv_bandwidth(sample: EmbeddedSample) -> Bandwidth:
     grid = np.geomspace(_GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
     k = int(np.argmin([score(h) for h in grid]))
     h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
-    return Bandwidth(h=min(h, h_plus))
+    return float(min(h, h_plus))
 
 
 def conditional_weights(x: np.ndarray, n: int, tau: int, l: int,

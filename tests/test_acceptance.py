@@ -16,8 +16,8 @@ from scipy.stats import norm
 import hmmar
 from hmmar.filters import optimal_step, posterior_update, run_filters
 from hmmar.gaussian import product_integral
-from hmmar.kde import Bandwidth, EmbeddedSample, embed, oversmoothed_bandwidth, \
-    ucv_bandwidth, ucv_objective
+from hmmar.kde import EmbeddedSample, embed, oversmoothed_bandwidth, ucv_bandwidth, \
+    ucv_objective
 from hmmar.model import simulate, stationary_distribution
 from hmmar.simplex_qp import solve_kkt
 from hmmar.harness import example_config, run_experiment
@@ -135,8 +135,7 @@ def test_criterion_5_gaussian_identities():
 
     rng = np.random.default_rng(31)
     sample1 = EmbeddedSample(vectors=rng.normal(size=(4, 1)))
-    bw = Bandwidth(0.8)
-    total1, _ = quad(lambda t: kde_eval(sample1, bw, t), -np.inf, np.inf)
+    total1, _ = quad(lambda t: kde_eval(sample1, 0.8, t), -np.inf, np.inf)
 
     sample2 = EmbeddedSample(vectors=rng.normal(size=(4, 2)))
     h = 0.8
@@ -147,7 +146,7 @@ def test_criterion_5_gaussian_identities():
     ys = 0.5 * (hi[1] - lo[1]) * nodes + 0.5 * (hi[1] + lo[1])
     wx = 0.5 * (hi[0] - lo[0]) * weights
     wy = 0.5 * (hi[1] - lo[1]) * weights
-    total2 = sum(w1 * sum(w2 * kde_eval(sample2, Bandwidth(h), (x, y))
+    total2 = sum(w1 * sum(w2 * kde_eval(sample2, h, (x, y))
                           for y, w2 in zip(ys, wy))
                  for x, w1 in zip(xs, wx))
 
@@ -170,11 +169,11 @@ def test_criterion_6_ucv_correctness():
                                - generic_ucv(vectors, h * h * np.eye(d))))
 
     sample = embed(rng.standard_normal(200), d=1, l=1)
-    bw = ucv_bandwidth(sample)
+    h_ucv = ucv_bandwidth(sample)
     h_plus = oversmoothed_bandwidth(sample)
     grid = np.geomspace(1e-6 * h_plus, h_plus, 10_000)
     grid_min = min(ucv_objective(sample, h) for h in grid)
-    gap = ucv_objective(sample, bw.h) - grid_min
+    gap = ucv_objective(sample, h_ucv) - grid_min
     ok = worst <= 1e-12 and gap <= 1e-6
     report(6, "UCV specialization and bandwidth search",
            ok, f"max specialized-vs-generic deviation {worst:.2e} (<= 1e-12); "

@@ -12,7 +12,7 @@ from hmmar.filters import (MODES, FilterRun, SeriesError, emission_mixture_probl
                            log_emissions, nonparametric_step, optimal_step, posterior_update,
                            run_filters, warmup_threshold)
 from hmmar.harness import emit_trace, example_config
-from hmmar.kde import Bandwidth, embed, ucv_bandwidth
+from hmmar.kde import embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate, stationary_distribution)
 from hmmar.simplex_qp import solve_kkt
@@ -207,11 +207,12 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
         assert (post_all == 0.0).any()
 
 
-def assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth):
+def assert_nonparametric_matches_steps(traj, model, tau, l, h):
     eval_start = warmup_threshold(model.ar_order, tau) + 1
     run = run_filters([traj], model, tau=tau, l=l, eval_start=eval_start,
-                      bandwidth=bandwidth, mode="nonparametric")[0]
-    h = (bandwidth or ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))).h
+                      h=h, mode="nonparametric")[0]
+    if h is None:
+        h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))
     pred, post, fallback = map(np.array, zip(*(
         nonparametric_step(traj.x, n, model, tau, l, h)
         for n in range(eval_start, len(traj) + 1))))
@@ -232,8 +233,8 @@ def test_nonparametric_filter_matches_per_step_reference_exactly(M, p):
     traj = simulate(model, 50, burn_in=20, rng_seed=10 * M + p)
     for tau in range(1, 6):
         for l in (1, 2, 3):
-            for bandwidth in (Bandwidth(0.3), None):
-                assert_nonparametric_matches_steps(traj, model, tau, l, bandwidth)
+            for h in (0.3, None):
+                assert_nonparametric_matches_steps(traj, model, tau, l, h)
     if M > 1:
         # a repeated state makes C singular, so every step falls back
         twin = SwitchingArModel(model.transition, [*model.states[:-1], model.states[0]])
@@ -251,8 +252,8 @@ def test_nonparametric_arithmetic_matches_quadrature_oracle(seed):
     model = random_model(M, p, rng)
     eval_start = warmup_threshold(p, tau) + 1
     traj = simulate(model, eval_start + 30, burn_in=20, rng_seed=seed)
-    h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l)).h
-    run = run_filters([traj], model, tau, l, eval_start=eval_start, bandwidth=Bandwidth(h),
+    h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))
+    run = run_filters([traj], model, tau, l, eval_start=eval_start, h=h,
                       mode="nonparametric")[0]
     for k in (0, 15, 30):
         n = eval_start + k
@@ -420,7 +421,7 @@ class TestRunFilters:
         # the optimal filter alone has no warm-up; its first step needs p lags
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
-        with pytest.raises(ValueError, match="^eval_start must exceed the AR order 2$"):
+        with pytest.raises(ValueError, match="^eval_window start 2 must exceed the AR order 2$"):
             run_filters([traj], model, eval_start=2, mode="optimal")
         run = run_filters([traj], model, eval_start=3, mode="optimal")[0]
         assert run.optimal_posterior.shape == (58, 3)
@@ -437,10 +438,9 @@ class TestRunFilters:
         # any decision already made
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=29)
-        bw = Bandwidth(0.15)
-        full = run_filters([traj], model, tau=2, l=1, eval_start=90, bandwidth=bw)[0]
+        full = run_filters([traj], model, tau=2, l=1, eval_start=90, h=0.15)[0]
         cut = Trajectory(s=traj.s[:100], x=traj.x[:100])
-        part = run_filters([cut], model, tau=2, l=1, eval_start=90, bandwidth=bw)[0]
+        part = run_filters([cut], model, tau=2, l=1, eval_start=90, h=0.15)[0]
         assert full.eval_start == part.eval_start
         for name in ("optimal_posterior", "optimal_predictive", "nonparametric_posterior"):
             np.testing.assert_array_equal(getattr(full, name).argmax(axis=1)[:11],
@@ -480,8 +480,7 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     import hmmar.filters as filters
     model = example_model()
     traj = simulate(model, 120, burn_in=50, rng_seed=43)
-    run = partial(run_filters, [traj], model, tau=2, l=1, eval_start=100,
-                  bandwidth=Bandwidth(0.15))
+    run = partial(run_filters, [traj], model, tau=2, l=1, eval_start=100, h=0.15)
 
     # both filters write every step through _bayes_update: the optimal loop
     # one step's (1, M) rows at a time, the nonparametric filter all its
@@ -557,7 +556,7 @@ def per_step_rows(x, model, tau, l, eval_start, h):
             steps["optimal_posterior"].append(posterior)
     fallback = []
     if h is None:
-        h = ucv_bandwidth(embed(x, d=tau + 1, l=l)).h
+        h = ucv_bandwidth(embed(x, d=tau + 1, l=l))
     for n in range(eval_start, len(x) + 1):
         predictive, posterior, qp_fallback = nonparametric_step(x, n, model, tau, l, h)
         steps["nonparametric_predictive"].append(predictive)
@@ -578,9 +577,7 @@ def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau,
     eval_start = warmup_threshold(p, tau) + 1
     traj = simulate(model, eval_start + extra, burn_in=20, rng_seed=seed)
     x = traj.x
-    bandwidth = None if h is None else Bandwidth(h)
-    run = partial(run_filters, [traj], model, tau=tau, l=l, eval_start=eval_start,
-                  bandwidth=bandwidth)
+    run = partial(run_filters, [traj], model, tau=tau, l=l, eval_start=eval_start, h=h)
     both, optimal, nonparametric = (run(mode=mode)[0]
                                     for mode in ("both", "optimal", "nonparametric"))
     steps, fallback = per_step_rows(x, model, tau, l, eval_start, h)
@@ -610,7 +607,7 @@ def test_block_matches_single_trajectory_runs_and_per_step_loops(k, mode, M, p, 
     trajs = [simulate(model, eval_start + extra, burn_in=20, rng_seed=seed + r)
              for r in range(k)]
     run = partial(run_filters, model=model, tau=tau, l=l, eval_start=eval_start,
-                  bandwidth=None if h is None else Bandwidth(h), mode=mode)
+                  h=h, mode=mode)
     block = run(trajs)
     assert len(block) == k
     for traj, got in zip(trajs, block):
@@ -644,9 +641,8 @@ def test_block_with_one_delay_vector_is_refused_before_ucv():
                                          r"in x_1\^30$") as info:
         run_filters(trajs, model, tau=2, l=28, eval_start=24)
     assert not isinstance(info.value, SeriesError)
-    for bandwidth, mode in ((Bandwidth(0.3), "both"), (None, "optimal")):
-        runs = run_filters(trajs, model, tau=2, l=28, eval_start=24, bandwidth=bandwidth,
-                           mode=mode)
+    for h, mode in ((0.3, "both"), (None, "optimal")):
+        runs = run_filters(trajs, model, tau=2, l=28, eval_start=24, h=h, mode=mode)
         assert [run.optimal_posterior.shape for run in runs] == [(7, 3)] * 2
 
 
@@ -681,11 +677,11 @@ def test_series_past_the_float_range_fails_before_any_arithmetic():
     assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("bandwidth", [None, Bandwidth(0.2)])
-def test_first_series_out_of_range_gives_its_place_in_the_block(bandwidth):
+@pytest.mark.parametrize("h", [None, pytest.param(0.2, id="bandwidth1")])
+def test_first_series_out_of_range_gives_its_place_in_the_block(h):
     block = [example_series(200, 0), example_series(200, 1), example_series(200, 2, 1e200)]
     with pytest.raises(SeriesError, match="^series 2 reaches ") as info:
-        run_filters(block, example_config().model, eval_start=101, bandwidth=bandwidth)
+        run_filters(block, example_config().model, eval_start=101, h=h)
     assert info.value.index == 2
     assert info.value.tail.startswith(" reaches ")
 
@@ -696,7 +692,7 @@ def test_ucv_failure_gives_its_place_in_the_block():
     with pytest.raises(SeriesError, match=r"^series 1: h_plus .* is below .*, where UCV's 1/h\^3"):
         run_filters(block, example_config().model, eval_start=101)
     # a pinned bandwidth runs no UCV, and the series is in the filters' float range
-    runs = run_filters(block, example_config().model, eval_start=101, bandwidth=Bandwidth(0.2))
+    runs = run_filters(block, example_config().model, eval_start=101, h=0.2)
     assert len(runs) == 3
 
 

@@ -11,11 +11,12 @@ from scipy.spatial.distance import pdist
 from scipy.stats import multivariate_normal
 
 import hmmar.kde as kde
+from hmmar.filters import MODES, run_filters
 from hmmar.harness import example_config
-from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, Bandwidth, EmbeddedSample, _brent,
-                       _exp_sums, conditional_weights, embed, embedding_heads,
-                       oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
-from hmmar.model import simulate
+from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, EmbeddedSample, _brent, _exp_sums,
+                       conditional_weights, embed, embedding_heads, oversmoothed_bandwidth,
+                       ucv_bandwidth, ucv_objective)
+from hmmar.model import Trajectory, simulate
 
 from kde_reference import kde_eval
 
@@ -125,36 +126,34 @@ class TestEmbed:
 class TestKdeEval:
     def test_single_kernel_at_center(self):
         sample = EmbeddedSample(vectors=np.array([[0.0]]))
-        got = kde_eval(sample, Bandwidth(1.0), 0.0)
+        got = kde_eval(sample, 1.0, 0.0)
         assert got == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_symmetry_under_negation(self):
         sample = EmbeddedSample(vectors=np.array([[-1.3], [1.3]]))
         flipped = EmbeddedSample(vectors=-sample.vectors)
-        bw = Bandwidth(0.8)
-        assert kde_eval(sample, bw, 0.0) == pytest.approx(kde_eval(flipped, bw, 0.0), rel=1e-14)
-        assert kde_eval(sample, bw, 0.4) == pytest.approx(kde_eval(flipped, bw, -0.4), rel=1e-14)
+        h = 0.8
+        assert kde_eval(sample, h, 0.0) == pytest.approx(kde_eval(flipped, h, 0.0), rel=1e-14)
+        assert kde_eval(sample, h, 0.4) == pytest.approx(kde_eval(flipped, h, -0.4), rel=1e-14)
 
     def test_recovers_standard_normal(self):
         rng = np.random.default_rng(0)
         emb = embed(rng.standard_normal(1000), d=1, l=1)
-        bw = ucv_bandwidth(emb)
+        h = ucv_bandwidth(emb)
         ys = np.linspace(-3.0, 3.0, 61)
-        errs = [abs(kde_eval(emb, bw, y) - math.exp(-y * y / 2) / math.sqrt(2 * math.pi))
+        errs = [abs(kde_eval(emb, h, y) - math.exp(-y * y / 2) / math.sqrt(2 * math.pi))
                 for y in ys]
         assert max(errs) < 0.05
 
     def test_integrates_to_one_1d(self):
         sample = EmbeddedSample(vectors=np.array([[-0.7], [0.2], [2.5]]))
-        bw = Bandwidth(0.6)
-        total, _ = quad(lambda t: kde_eval(sample, bw, t), -np.inf, np.inf)
+        total, _ = quad(lambda t: kde_eval(sample, 0.6, t), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_integrates_to_one_2d(self):
         rng = np.random.default_rng(3)
         sample = EmbeddedSample(vectors=rng.normal(size=(5, 2)))
         h = 0.7
-        bw = Bandwidth(h)
         pts = sample.vectors
         nodes = 160
         total = 0.0
@@ -167,7 +166,7 @@ class TestKdeEval:
         wx = 0.5 * (hi[0] - lo[0]) * gwx
         wy = 0.5 * (hi[1] - lo[1]) * gwx
         for x, w1 in zip(xs, wx):
-            row = sum(w2 * kde_eval(sample, bw, (x, y)) for y, w2 in zip(ys, wy))
+            row = sum(w2 * kde_eval(sample, h, (x, y)) for y, w2 in zip(ys, wy))
             total += w1 * row
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -373,14 +372,14 @@ def test_bandwidth_scales_by_every_power_of_two_or_refuses(n, d):
     # for k in [117, 500] and d = 1 for k <= -521, after overflow or underflow warnings.
     x = outlier_series(n)
     sample = embed(x, d=d, l=1)
-    h0, h_plus0 = ucv_bandwidth(sample).h, oversmoothed_bandwidth(sample)
+    h0, h_plus0 = ucv_bandwidth(sample), oversmoothed_bandwidth(sample)
     with np.errstate(over="ignore"):
         exact = [k for k in range(-1100, 1100) if np.isfinite(y := np.ldexp(x, k)).all()
                  and np.array_equal(np.ldexp(y, -k), x)]
     outcomes = set()
     for k in exact:
         try:
-            h = ucv_bandwidth(embed(np.ldexp(x, k), d=d, l=1)).h
+            h = ucv_bandwidth(embed(np.ldexp(x, k), d=d, l=1))
         except ValueError as exc:
             assert str(exc).startswith("h_plus "), (k, exc)
             outcomes.add("refused")
@@ -395,17 +394,16 @@ class TestUcvBandwidth:
         rng = np.random.default_rng(21)
         x = np.concatenate([rng.normal(-8.0, 0.5, 150), rng.normal(8.0, 0.5, 150)])
         sample = embed(rng.permutation(x), d=1, l=1)
-        bw = ucv_bandwidth(sample)
-        assert bw.h < oversmoothed_bandwidth(sample)
+        assert ucv_bandwidth(sample) < oversmoothed_bandwidth(sample)
 
     def test_matches_dense_grid_scan(self):
         rng = np.random.default_rng(6)
         sample = embed(rng.standard_normal(150), d=1, l=1)
-        bw = ucv_bandwidth(sample)
+        h_ucv = ucv_bandwidth(sample)
         h_plus = oversmoothed_bandwidth(sample)
         grid = np.geomspace(1e-6 * h_plus, h_plus, 10_000)
         grid_min = min(ucv_objective(sample, h) for h in grid)
-        assert ucv_objective(sample, bw.h) <= grid_min + 1e-6
+        assert ucv_objective(sample, h_ucv) <= grid_min + 1e-6
 
     def test_matches_reference_search_exactly(self):
         # The search over the whole-array score, which is bit-equal to
@@ -427,7 +425,7 @@ class TestUcvBandwidth:
             assert int(np.argmin([score(h) for h in grid])) == k
             cell = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             h = min(_brent(whole, *cell, tol=1e-4 * h_plus), h_plus)
-            assert ucv_bandwidth(sample).h == h
+            assert ucv_bandwidth(sample) == h
             h_ref = min(_brent(score, *cell, tol=1e-4 * h_plus), h_plus)
             assert h_ref == pytest.approx(h, rel=0.0, abs=1e-11 * h_plus)
 
@@ -450,7 +448,7 @@ class TestUcvBandwidth:
         grid, k = ucv_grid(sample)
         cell = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], 2000)
         cell_min = min(ucv_objective(sample, h) for h in cell)
-        assert ucv_objective(sample, ucv_bandwidth(sample).h) <= cell_min + 1e-6
+        assert ucv_objective(sample, ucv_bandwidth(sample)) <= cell_min + 1e-6
 
     @pytest.mark.parametrize("x, k", [
         (np.round(2.0 * np.random.default_rng(0).standard_normal(200)), 0),  # tied values
@@ -461,7 +459,7 @@ class TestUcvBandwidth:
         sample = embed(x, d=1, l=1)
         grid, k_got = ucv_grid(sample)
         assert k_got == k
-        h = ucv_bandwidth(sample).h
+        h = ucv_bandwidth(sample)
         assert grid[max(k - 1, 0)] <= h <= grid[min(k + 1, _GRID_POINTS - 1)]
         assert h <= oversmoothed_bandwidth(sample)
 
@@ -471,20 +469,15 @@ class TestUcvBandwidth:
         x = np.random.default_rng(0).standard_normal(300)
         with pytest.raises(ValueError, match="^h_plus .* is below"):
             ucv_bandwidth(embed(1e-110 * x, d=3, l=1))
-        h = ucv_bandwidth(embed(1e-90 * x, d=3, l=1)).h
+        h = ucv_bandwidth(embed(1e-90 * x, d=3, l=1))
         assert h / 1e-90 == pytest.approx(0.43903354446495685, rel=1e-12)
-
-    def test_infinite_bandwidth_rejected(self):
-        # a run pinned to it would return near-uniform predictive rows, with no error
-        with pytest.raises(ValueError, match="^h must be positive and finite, got inf"):
-            Bandwidth(math.inf)
 
     def test_translation_leaves_selection_unchanged(self):
         rng = np.random.default_rng(13)
         sample = embed(rng.standard_normal(120), d=2, l=1)
         shifted = EmbeddedSample(vectors=sample.vectors + 11.0)
-        h1 = ucv_bandwidth(sample).h
-        h2 = ucv_bandwidth(shifted).h
+        h1 = ucv_bandwidth(sample)
+        h2 = ucv_bandwidth(shifted)
         assert h1 == pytest.approx(h2, rel=1e-9)
 
 
@@ -656,11 +649,16 @@ def test_embedding_heads_raise_where_weights_raise(length):
     assert outcomes == {"raised", "returned"}
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
-    # an infinite h once gave 37 equal weights and a UCV score of 0.0, with no error
+    # an infinite h once gave 37 equal weights and a UCV score of 0.0, with no error;
+    # a run pinned to it would return near-uniform predictive rows
     x = np.random.default_rng(23).standard_normal(50)
     message = "^h must be positive and finite"
+    traj = Trajectory(s=np.ones(50, dtype=int), x=x)
+    for mode in MODES:  # refused even where no filter reads h
+        with pytest.raises(ValueError, match=message):
+            run_filters([traj], example_config().model, eval_start=40, h=bad, mode=mode)
     with pytest.raises(ValueError, match=message):
         conditional_weights(x, 40, 2, 1, bad)
     with pytest.raises(ValueError, match=message):  # one bad entry of a block's (R, 1) h

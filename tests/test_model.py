@@ -406,7 +406,8 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(example_model(), 10, burn_in=-1)
 
-    @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256", PINNED_RUNS)
+    @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256",
+                             [pytest.param(*run, id=run[0]) for run in PINNED_RUNS])
     def test_trajectory_bytes_are_pinned(self, name, n, burn_in, seed, s_sha256, x_sha256):
         # any change to the chain sampler, the seeding or the AR recursion shows here
         traj = simulate(PINNED_MODELS[name](), n, burn_in, seed)
