@@ -15,6 +15,7 @@ posterior P(S_n = . | x_1^n) second, so prediction never sees x_n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
@@ -118,37 +119,27 @@ def optimal_step(posterior: np.ndarray, x_n: float, history: np.ndarray,
     return predictive, posterior_update(predictive, x_n, history, model)
 
 
-def emission_mixture_problem(x: np.ndarray, n: int, model: SwitchingArModel,
-                             tau: int, l: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(C, c)`` of the L2-projection objective at step n.
+def emission_mixture_problem(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
+                             tau: int, l: int,
+                             h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(C, c)`` of the L2-projection objective at step n, given its (M,) AR means.
 
     C[i, j] is the integral of the product of the emission densities of
     states i and j (a closed-form normal evaluation); c[m] integrates the
     kernel-mixture estimate of f(. | x_{n-tau}^{n-1}) against the emission
-    density of state m.  Only x_1^{n-1} enters.
+    density of state m.  Only x_1^{n-1} enters.  ``means`` comes from
+    :meth:`SwitchingArModel.ar_means`.  A leading repeat axis on ``x``, ``means``
+    and ``h`` (R, 1) runs a block and gives the (R, M, M) C and the (R, M) c.
     """
     x = np.asarray(x, dtype=float)
-    p = model.ar_order
-    means = model.ar_means(x[n - 1 - p:n - 1][::-1])
-    return (_emission_overlaps(means.tolist(), model.b2.tolist()),
-            _kernel_column(x, n, means, model, tau, l, h))
-
-
-def _emission_overlaps(m: list, v: list) -> np.ndarray:
-    """C of :func:`emission_mixture_problem` from the states' AR means and variances."""
-    M = len(m)
-    C = [0.0] * (M * M)
-    for i, j in combinations_with_replacement(range(M), 2):
-        C[i * M + j] = C[j * M + i] = product_integral(m[i], v[i], m[j], v[j])
-    return np.array(C).reshape(M, M)
-
-
-def _kernel_column(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArModel,
-                   tau: int, l: int, h: float | np.ndarray) -> np.ndarray:
-    """c of :func:`emission_mixture_problem` from step n's (M,) AR means.
-
-    A leading repeat axis on ``x``, ``means`` and ``h`` (R, 1) runs a block.
-    """
+    M = model.M
+    if means.shape != x.shape[:-1] + (M,):
+        raise ValueError(f"means has shape {means.shape}, x needs {x.shape[:-1] + (M,)}")
+    v, pairs = model.b2.tolist(), list(combinations_with_replacement(range(M), 2))
+    C = [0.0] * (means.size * M)  # every repeat's (M, M) block, in Python floats
+    for o, m in zip(range(0, len(C), M * M), means.reshape(-1, M).tolist()):
+        for i, j in pairs:
+            C[o + i * M + j] = C[o + j * M + i] = product_integral(m[i], v[i], m[j], v[j])
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
     var = (h * h + model.b2)[..., None, :]  # kernel variance + emission variance, per state
@@ -158,7 +149,8 @@ def _kernel_column(x: np.ndarray, n: int, means: np.ndarray, model: SwitchingArM
     kernels /= -2.0 * var
     np.exp(kernels, out=kernels)
     kernels /= np.sqrt(2.0 * np.pi * var)
-    return np.matmul(beta[..., None, :], kernels)[..., 0, :]
+    return (np.array(C).reshape(means.shape + (M,)),
+            np.matmul(beta[..., None, :], kernels)[..., 0, :])
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
@@ -177,8 +169,8 @@ def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,
         raise ValueError(f"step n = {n} must exceed the warm-up threshold {thresh}")
     if x.shape[0] < n:
         raise ValueError(f"series has {x.shape[0]} values, step n = {n} needs x_n")
-    sol = solve_kkt(*emission_mixture_problem(x, n, model, tau, l, h))
     history = x[n - 1 - p:n - 1][::-1]
+    sol = solve_kkt(*emission_mixture_problem(x, n, model.ar_means(history), model, tau, l, h))
     return sol.u, posterior_update(sol.u, x[n - 1], history, model), sol.fallback
 
 
@@ -195,7 +187,7 @@ class SeriesError(ValueError):
 
 @dataclass(eq=False)
 class FilterRun:
-    """Output of :func:`run_filters`; row k of every array is step n = eval_start + k.
+    """Output of :func:`run_filters`; row k of every array is step n = eval_start + k (>= 1).
 
     Each method has a (T, M) predictive array, rows P(S_n = . | x_1^{n-1}),
     and a posterior array, rows P(S_n = . | x_1^n); both are None for a
@@ -213,13 +205,21 @@ class FilterRun:
     nonparametric_posterior: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        start = self.eval_start
+        if not (isinstance(start, numbers.Integral) and not isinstance(start, bool) and start >= 1):
+            raise ValueError(f"eval_start must be an integer >= 1, got {start!r}")
         if self.optimal_posterior is None and self.nonparametric_posterior is None:
             raise ValueError("a FilterRun must hold the arrays of at least one method")
+        shape = None  # (T, M): len(qp_fallback) rows, and the first array's M
         for name in ("optimal_predictive", "optimal_posterior",
                      "nonparametric_predictive", "nonparametric_posterior"):
             v = getattr(self, name)
             if v is None:
                 continue
+            if np.ndim(v) != 2:
+                raise ValueError(f"{name} must be a (T, M) array, got shape {np.shape(v)}")
+            if v.shape != (shape := shape or (len(self.qp_fallback), v.shape[1])):
+                raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
             bad = ~((v >= 0.0).all(axis=1) & (np.abs(v.sum(axis=1) - 1.0) <= _SIMPLEX_TOL))
             if bad.any():
                 k = int(np.argmax(bad))
@@ -236,8 +236,8 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
     that did not run leaves its arrays None.  The trajectories share one length and run
     in lockstep: each step is one set of numpy calls on the block's (R, M) rows, bit for
     bit as R blocks of one.  One (steps, R, M) buffer over steps n = p + 1 .. len(x)
-    holds in turn each series' AR means, read by the nonparametric prediction pass (each
-    step's QPs, for any M >= 1, solved as in :func:`nonparametric_step`); their
+    holds in turn each series' AR means, read by the nonparametric prediction pass (one
+    :func:`emission_mixture_problem` per step, then one QP per series, for any M >= 1); their
     log-emissions, made in place and read by the one Bayes update of every nonparametric
     x_n; and the optimal filter's posteriors, each row over its own log-emissions, from
     the stationary distribution at n = p + 1 on.  Steps eval_start .. len(x) must pass
@@ -284,12 +284,10 @@ def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau
 
     if mode != "optimal":
         npar_pred = np.empty((T, R, M))
-        b2 = model.b2.tolist()
         for k in range(T):
-            means_n = buf[k0 + k]
-            c = _kernel_column(x, eval_start + k, means_n, model, tau, l, h)
+            C, c = emission_mixture_problem(x, eval_start + k, buf[k0 + k], model, tau, l, h)
             for r in range(R):
-                sol = solve_kkt(_emission_overlaps(means_n[r].tolist(), b2), c[r])
+                sol = solve_kkt(C[r], c[r])
                 npar_pred[k, r], fallback[r, k] = sol.u, sol.fallback
     log_f = log_emissions(x[:, p:].T, buf, model, out=buf)
     with np.errstate(divide="ignore"):

@@ -41,8 +41,8 @@ class SimplexPoint:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
-        if self.u.ndim != 1:
-            raise ValueError("u must be a vector")
+        if self.u.ndim != 1 or not self.u.size:
+            raise ValueError(f"u must be a non-empty vector, got shape {self.u.shape}")
         if not self.u.min() >= -1e-12:
             raise ValueError(f"u has negative or NaN entries: min = {self.u.min():.3e}")
         total = self.u.sum()

@@ -7,6 +7,7 @@ a module fixture; end to end the module takes a few minutes.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hmmar.kde import EmbeddedSample, embed, oversmoothed_bandwidth, ucv_bandwid
     ucv_objective
 from hmmar.model import simulate, stationary_distribution
 from hmmar.simplex_qp import solve_kkt
-from hmmar.harness import example_config, run_experiment
+from hmmar.harness import example_config, run_experiment, write_summary
 
 from kde_reference import kde_eval
 from lattice_oracle import brute_force_solve, objective
@@ -208,3 +209,13 @@ def test_criterion_8_byte_identical_summaries(tmp_path):
     ok = b1 == b2 and len(b1) > 0
     report(8, "deterministic summary bytes",
            ok, f"two runs, {len(b1)} bytes each, identical: {b1 == b2}")
+
+
+def test_bundled_example_summary_matches_pinned_bytes(example_run, tmp_path):
+    # the bytes of `hmmar run --config src/hmmar/example.json`'s summary.csv, pinned; the
+    # fixture's summary is that run's, so no extra run is needed.  Re-record the file only
+    # for a change that moves the example on purpose, and record what moved.
+    _, summary, _ = example_run
+    write_summary(summary, tmp_path / "summary.csv")
+    pinned = Path(__file__).parent / "data" / "bundled_example_summary.csv"
+    assert (tmp_path / "summary.csv").read_bytes() == pinned.read_bytes()

@@ -258,7 +258,8 @@ def test_nonparametric_arithmetic_matches_quadrature_oracle(seed):
     for k in (0, 15, 30):
         n = eval_start + k
         C_ref, c_ref = nonparametric_reference.mixture_problem(traj.x, n, model, tau, l, h)
-        C, c = emission_mixture_problem(traj.x, n, model, tau, l, h)
+        means = model.ar_means(traj.x[n - 1 - p:n - 1][::-1])
+        C, c = emission_mixture_problem(traj.x, n, means, model, tau, l, h)
         np.testing.assert_allclose(C, C_ref, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(c, c_ref, rtol=1e-8, atol=0.0)
         sol = solve_kkt(C_ref, c_ref)
@@ -267,6 +268,34 @@ def test_nonparametric_arithmetic_matches_quadrature_oracle(seed):
         np.testing.assert_allclose(run.nonparametric_posterior[k],
                                    nonparametric_reference.posterior(sol.u, traj.x, n, model),
                                    rtol=0.0, atol=1e-8)
+
+
+def test_block_pass_builds_each_step_in_one_call(monkeypatch):
+    # run_filters' nonparametric pass builds each recorded step's (C, c) for the whole block in
+    # one emission_mixture_problem call, and (C[r], c[r]) are bit for bit series r's own call
+    import hmmar.filters as filters
+    model, R, n_len, eval_start = example_model(), 3, 160, 141
+    trajectories = [simulate(model, n_len, burn_in=50, rng_seed=60 + r) for r in range(R)]
+    build, seen = filters.emission_mixture_problem, []
+
+    def counted(x, n, means, model, tau, l, h):
+        C, c = build(x, n, means, model, tau, l, h)
+        own = [build(x[r], n, means[r], model, tau, l, float(h[r, 0])) for r in range(R)]
+        same = all(C[r].tobytes() == C_r.tobytes() and c[r].tobytes() == c_r.tobytes()
+                   for r, (C_r, c_r) in enumerate(own))
+        seen.append((n, C.shape, c.shape, same))
+        return C, c
+
+    monkeypatch.setattr(filters, "emission_mixture_problem", counted)
+    run_filters(trajectories, model, eval_start=eval_start, mode="nonparametric")
+    M = model.M
+    assert seen == [(n, (R, M, M), (R, M), True) for n in range(eval_start, n_len + 1)]
+    x = np.stack([t.x for t in trajectories])
+    one = model.ar_means(x[0, eval_start - 3:eval_start - 1][::-1])
+    for xs, means, shapes in ((x, one, r"\(3,\), x needs \(3, 3\)"),
+                              (x[0], np.stack([one] * R), r"\(3, 3\), x needs \(3,\)")):
+        with pytest.raises(ValueError, match=rf"^means has shape {shapes}$"):
+            build(xs, eval_start, means, model, 2, 1, 0.2)
 
 
 def test_identical_states_make_posterior_equal_predictive():
@@ -362,7 +391,8 @@ class TestNonparametricStep:
             nonparametric_step(traj.x, n=thresh, model=model, tau=2, l=1, h=0.2)
         predictive, _, fallback = nonparametric_step(traj.x, n=thresh + 1, model=model, tau=2,
                                                      l=1, h=0.2)
-        sol = solve_kkt(*emission_mixture_problem(traj.x, thresh + 1, model, 2, 1, 0.2))
+        means = model.ar_means(traj.x[thresh - 2:thresh][::-1])
+        sol = solve_kkt(*emission_mixture_problem(traj.x, thresh + 1, means, model, 2, 1, 0.2))
         assert np.array_equal(predictive, sol.u) and fallback == sol.fallback
         assert np.max(np.abs(predictive - 1/3)) > 1e-6
 
@@ -531,6 +561,33 @@ def test_filter_run_rejects_a_row_that_is_no_probability_vector(field, bad_row):
     arrays[field][2] = bad_row
     with pytest.raises(ValueError, match=rf"^{field} at step n = 9 is not a probability vector"):
         FilterRun(7, np.zeros(4, dtype=bool), **arrays)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((3, np.zeros(2, dtype=bool)), {"optimal_predictive": np.full((5, 3), 1 / 3),
+                                    "optimal_posterior": np.full((5, 3), 1 / 3)},
+     r"^optimal_predictive has shape \(5, 3\), expected \(2, 3\)"),
+    ((3, np.zeros(5, dtype=bool)), {"optimal_posterior": np.full((5, 3), 1 / 3),
+                                    "nonparametric_posterior": np.full((5, 2), 1 / 2)},
+     r"^nonparametric_posterior has shape \(5, 2\), expected \(5, 3\)"),
+    ((3, np.zeros(3, dtype=bool)), {"optimal_posterior": np.full(3, 1 / 3)},
+     r"^optimal_posterior must be a \(T, M\) array, got shape \(3,\)$"),
+    ((0, np.zeros(5, dtype=bool)), {"optimal_posterior": np.full((5, 3), 1 / 3)},
+     r"^eval_start must be an integer >= 1, got 0$"),
+    ((2.0, np.zeros(5, dtype=bool)), {"optimal_posterior": np.full((5, 3), 1 / 3)},
+     r"^eval_start must be an integer >= 1, got 2.0$"),
+    ((True, np.zeros(5, dtype=bool)), {"optimal_posterior": np.full((5, 3), 1 / 3)},
+     r"^eval_start must be an integer >= 1, got True$"),
+], ids=["rows", "states", "vector", "start-zero", "start-float", "start-bool"])
+def test_filter_run_rejects_a_malformed_shape(args, kwargs, message):
+    # each array must be (len(qp_fallback), M) with one M, so emit_trace writes every row
+    with pytest.raises(ValueError, match=message):
+        FilterRun(*args, **kwargs)
+
+
+def test_filter_run_takes_a_numpy_integer_start():
+    run = FilterRun(np.int64(1), np.zeros(2, dtype=bool), optimal_posterior=np.full((2, 3), 1 / 3))
+    assert run.eval_start == 1
 
 
 def test_wrong_history_length_raises_through_per_step_functions():

@@ -82,8 +82,11 @@ class TestSimplexPoint:
             SimplexPoint(u=np.array(u))
 
     def test_rejects_a_matrix(self):
-        with pytest.raises(ValueError, match="^u must be a vector$"):
-            SimplexPoint(u=[[1.0]])
+        # and an empty vector, whose minimum numpy cannot take
+        for u, shape in (([[1.0]], r"\(1, 1\)"), ([], r"\(0,\)")):
+            with pytest.raises(ValueError, match=rf"^u must be a non-empty vector, got shape "
+                                                 rf"{shape}$"):
+                SimplexPoint(u=u)
 
 
 class TestSolveKkt:
@@ -306,12 +309,14 @@ class TestIsPositiveDefinite:
         rng = np.random.default_rng(47)
         x = rng.normal(size=60)
         model = SwitchingArModel(chain, states)
-        C, _ = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
+        C, _ = emission_mixture_problem(x, n=60, means=model.ar_means(x[-2:-1]), model=model,
+                                        tau=2, l=1, h=0.4)
         assert not is_positive_definite(C)
         # distinct states give a PD matrix
         states[1] = ArStateParams(1.5, [0.1], 0.4)
         model = SwitchingArModel(chain, states)
-        C2, _ = emission_mixture_problem(x, n=60, model=model, tau=2, l=1, h=0.4)
+        C2, _ = emission_mixture_problem(x, n=60, means=model.ar_means(x[-2:-1]), model=model,
+                                         tau=2, l=1, h=0.4)
         assert is_positive_definite(C2)
 
 
