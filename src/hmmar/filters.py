@@ -142,15 +142,15 @@ def emission_mixture_problem(x: np.ndarray, n: int, means: np.ndarray, model: Sw
             C[o + i * M + j] = C[o + j * M + i] = product_integral(m[i], v[i], m[j], v[j])
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
-    var = (h * h + model.b2)[..., None, :]  # kernel variance + emission variance, per state
-    # (..., N, M) kernels built in place; beta @ reads each C-contiguous (N, M) block.
-    kernels = np.subtract(heads[..., None], means[..., None, :])
+    var = (h * h + model.b2)[..., None]  # kernel variance + emission variance, per state
+    # (..., M, N) kernels in place along the long N axis, the last divide into beta @'s blocks
+    kernels = np.subtract(heads[..., None, :], means[..., None])
     kernels **= 2
     kernels /= -2.0 * var
     np.exp(kernels, out=kernels)
-    kernels /= np.sqrt(2.0 * np.pi * var)
-    return (np.array(C).reshape(means.shape + (M,)),
-            np.matmul(beta[..., None, :], kernels)[..., 0, :])
+    np.divide(kernels, np.sqrt(2.0 * np.pi * var),
+              out=np.swapaxes(blocks := np.empty(heads.shape + (M,)), -1, -2))
+    return np.array(C).reshape(means.shape + (M,)), np.matmul(beta[..., None, :], blocks)[..., 0, :]
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,

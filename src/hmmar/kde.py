@@ -4,10 +4,10 @@ A scalar series x_1, ..., x_n is mapped to N = 1 + floor((n - d) / l) vectors
 
     Y_i = (x_{(i-1)l + 1}, ..., x_{(i-1)l + d}),      i = 1, ..., N
 
-(1-based indices).  A normal kernel with covariance h^2 I_d sits on each Y_i;
-h minimizes the unbiased cross-validation score over (0, h_plus], h_plus the
-oversmoothed bound.  The score runs over pairwise distances sorted once, skips
-pairs whose kernel is exactly 0.0 and takes one exp per remaining pair.
+(1-based indices).  A normal kernel with covariance h^2 I_d sits on each Y_i; h minimizes
+the unbiased cross-validation score over (0, h_plus], h_plus the oversmoothed bound.  The
+score runs over pairwise distances sorted once, skips pairs whose kernel is exactly 0.0 and
+takes one exp per other pair, where a bound at one exp per 16 pairs cannot rule it out.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ _MAX_ITER = 200
 _DIST_BLOCK = 16
 #: Largest leaf of the UCV score's sums, the length of its one buffer.
 _LEAF = 1 << 16
+_RUN = 16  # sorted pairs per run of the UCV score's lower bound, which takes one exp per run
 
 
 @dataclass(eq=False)
@@ -202,19 +203,45 @@ def _brent(f, a: float, b: float, tol: float) -> float:
     return x
 
 
+def _ucv_bounds(sample: EmbeddedSample, grid: np.ndarray) -> list[tuple[float, float]]:
+    """Lower bounds of :func:`ucv_objective` over ``grid``, less a slack, and each slack.
+
+    Along the sorted live pairs e = exp(-s / 4h^2) falls, and the score is T (1 + c sum g(e)),
+    g(e) = a e - 2 e^2 concave (a = 2^(-d/2), c = 2 / ((N - 1) a)): a run of ``_RUN`` pairs
+    adds at least ``_RUN`` min g at its ends (g(0) = 0 past the last).  The slack, 1e-9 T (1 +
+    c (a + 2) F) with F = ``_RUN`` sum e at the runs' first pairs, far exceeds the rounding.
+    """
+    N, d, sq, a = sample.N, sample.d, sample.sorted_sq_dists, 2.0 ** (-sample.d / 2.0)
+    c, buf, out = 2.0 / ((N - 1) * a), np.empty(2 * -(-sq.size // _RUN)), []  # one buffer
+    for h in grid.tolist():
+        n = int(np.searchsorted(sq, 746.0 * (four_h2 := 4.0 * h * h)))  # the live prefix
+        e, g = buf[:(m := -(-n // _RUN))], buf[m:2 * m]
+        np.exp(np.divide(sq[:n:_RUN], -four_h2, out=e), out=e)  # e at each run's first pair
+        size = 1.0 + c * (a + 2.0) * _RUN * float(e.sum())
+        np.multiply(e, np.subtract(a, np.multiply(e, 2.0, out=g), out=g), out=g)  # g(e)
+        np.minimum(g[:-1], g[1:], out=e[:-1])
+        np.minimum(g[-1:], 0.0, out=e[-1:])
+        tail = 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)  # T, as in the score
+        out.append((tail * (1.0 + c * _RUN * float(e.sum()) - 1e-9 * size), 1e-9 * tail * size))
+    return out
+
+
 def ucv_bandwidth(sample: EmbeddedSample) -> float:
     """Bandwidth h minimizing the UCV score on (0, h_plus]; h_plus must lie in UCV's float range.
 
-    The score can carry spurious local minima near h = 0, so the search
-    bracket is [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the
-    best basin, then Brent's method refines the cell [grid[k - 1], grid[k + 1]]
-    around its best point k to 1e-4 h_plus.  Each score evaluation reuses the
-    once-sorted distances and skips the exact-zero pairs.
+    The score can carry spurious local minima near h = 0, so the search bracket is
+    [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the best basin, then Brent's
+    method refines the cell [grid[k - 1], grid[k + 1]] around its best point k to 1e-4 h_plus.
+    The grid is scored in order of :func:`_ucv_bounds`, skipping each point whose bound exceeds
+    the best score so far plus that score's slack, so k is still the grid's first minimum.
     """
     h_plus = oversmoothed_bandwidth(sample)
     score = partial(ucv_objective, sample)
     grid = np.geomspace(_GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
-    k = int(np.argmin([score(h) for h in grid]))
+    bounds, best, slack, k = _ucv_bounds(sample, grid), math.inf, 0.0, 0
+    for j in sorted(range(_GRID_POINTS), key=bounds.__getitem__):
+        if bounds[j][0] <= best + slack and ((s := score(grid[j])) < best or s == best and j < k):
+            best, slack, k = s, bounds[j][1], j
     h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
     return float(min(h, h_plus))
 
@@ -233,18 +260,20 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int,
     with d = tau + 1), or a block's (R, N) rows, each bit-equal to its own
     call, when ``x`` and ``h`` (R, 1) carry a leading repeat axis.
     """
-    _check_bandwidth(h)
     x = np.asarray(x, dtype=float)
+    if np.ndim(h) and np.shape(h) != x.shape[:-1] + (1,):
+        raise ValueError(f"h has shape {np.shape(h)}, x needs a float or {x.shape[:-1] + (1,)}")
+    _check_bandwidth(h)
     windows = _candidate_columns(x, n, tau, l, range(tau))
     # Squared distance of each window to the query (x_{n-tau}, ..., x_{n-1}),
-    # summed one coordinate at a time.
-    sq_dist = np.square(windows[0] - x[..., n - 1 - tau, None])
+    # summed one coordinate at a time, then turned into the weights in place.
+    w = np.square(windows[0] - x[..., n - 1 - tau, None])
     for j in range(1, tau):
-        sq_dist += np.square(windows[j] - x[..., n - 1 - tau + j, None])
-    log_w = -sq_dist / (2.0 * h * h)
-    log_w -= log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w)
-    return w / w.sum(axis=-1, keepdims=True)
+        w += np.square(windows[j] - x[..., n - 1 - tau + j, None])
+    np.divide(w, -2.0 * h * h, out=w)  # the bits of -s / (2 h^2)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    return np.divide(w, w.sum(axis=-1, keepdims=True), out=w)
 
 
 def embedding_heads(x: np.ndarray, n: int, tau: int, l: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,7 @@ from hmmar.filters import (MODES, FilterRun, SeriesError, emission_mixture_probl
                            log_emissions, nonparametric_step, optimal_step, posterior_update,
                            run_filters, warmup_threshold)
 from hmmar.harness import emit_trace, example_config
-from hmmar.kde import embed, ucv_bandwidth
+from hmmar.kde import conditional_weights, embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate, stationary_distribution)
 from hmmar.simplex_qp import solve_kkt
@@ -296,6 +297,22 @@ def test_block_pass_builds_each_step_in_one_call(monkeypatch):
                               (x[0], np.stack([one] * R), r"\(3, 3\), x needs \(3,\)")):
         with pytest.raises(ValueError, match=rf"^means has shape {shapes}$"):
             build(xs, eval_start, means, model, 2, 1, 0.2)
+
+
+@pytest.mark.parametrize("R, h_shape", [(3, (3,)), (3, (2, 1)), (None, (3, 1))])
+def test_h_of_another_shape_rejected(R, h_shape):
+    # a (3,) or (2, 1) h with a 3-series block raised numpy's broadcast error, and a 1-D x
+    # with a (3, 1) h returned (3, N) weights from the one series
+    model = example_model()
+    x = simulate(model, 160, burn_in=50, rng_seed=61).x
+    x = x if R is None else np.stack([x] * R)
+    means = model.ar_means(x[..., 139:137:-1])
+    want = re.escape(str(x.shape[:-1] + (1,)))
+    message = rf"^h has shape {re.escape(str(h_shape))}, x needs a float or {want}$"
+    with pytest.raises(ValueError, match=message):
+        conditional_weights(x, 141, 2, 1, np.full(h_shape, 0.2))
+    with pytest.raises(ValueError, match=message):
+        emission_mixture_problem(x, 141, means, model, 2, 1, np.full(h_shape, 0.2))
 
 
 def test_identical_states_make_posterior_equal_predictive():

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -14,8 +15,8 @@ import hmmar.kde as kde
 from hmmar.filters import MODES, run_filters
 from hmmar.harness import example_config
 from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, EmbeddedSample, _brent, _exp_sums,
-                       conditional_weights, embed, embedding_heads, oversmoothed_bandwidth,
-                       ucv_bandwidth, ucv_objective)
+                       _ucv_bounds, conditional_weights, embed, embedding_heads,
+                       oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
 from hmmar.model import Trajectory, simulate
 
 from kde_reference import kde_eval
@@ -439,7 +440,52 @@ class TestUcvBandwidth:
         monkeypatch.setattr(kde, "ucv_objective", counted)
         for seed in range(10):
             ucv_bandwidth(example_sample(seed))
-        assert len(calls) / 10 <= 45
+        # scoring all 32 grid points took 41.4 per fit; the bounds leave about one of them
+        assert len(calls) / 10 <= 15
+
+    def test_memory_peak_is_the_score_buffer(self):
+        # the bounds' buffer of 2 ceil(pairs / 16) floats is freed before the first score,
+        # whose one leaf buffer is then the largest allocation of a fit
+        sample = example_sample(4)
+        sample.sorted_sq_dists
+        tracemalloc.start()
+        try:
+            ucv_bandwidth(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _LEAF + 16 * 1024
+
+    @staticmethod
+    def series(kind: str, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 300))
+        if kind == "tied":
+            return np.round(2.0 * rng.standard_normal(n))
+        if kind == "two modes":
+            return rng.permutation(np.concatenate([rng.normal(-1e3, 1.0, n // 2),
+                                                   rng.normal(1e3, 1.0, n - n // 2)]))
+        if kind == "heavy tails":
+            return rng.standard_cauchy(n)
+        if kind == "scaled":
+            return np.ldexp(rng.standard_normal(n), int(rng.integers(-200, 201)))
+        return rng.standard_normal(n)
+
+    @pytest.mark.parametrize("kind", ["normal", "tied", "two modes", "heavy tails", "scaled"])
+    def test_bounds_hold_and_keep_the_full_grid_search(self, kind):
+        # a grid point is skipped only when its bound clears the best score, so each bound
+        # must stay below its computed score, and h is the full grid search's to the bit
+        for seed, d in itertools.product(range(6), range(1, 5)):
+            sample = embed(self.series(kind, seed), d=d, l=1)
+            h_plus = oversmoothed_bandwidth(sample)
+            grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
+            scores = [ucv_objective(sample, h) for h in grid]
+            for (bound, _), score in zip(_ucv_bounds(sample, grid), scores):
+                assert bound <= score, (seed, d)
+            k = int(np.argmin(scores))
+            cell = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
+            h = min(_brent(partial(ucv_objective, sample), *cell, tol=1e-4 * h_plus), h_plus)
+            assert ucv_bandwidth(sample) == h, (seed, d)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_no_gap_to_dense_grid_over_bracket_cell(self, seed):
