@@ -3,8 +3,10 @@
 At one time step, the estimated conditional density is projected onto the
 mixture of per-state emission densities: a quadratic program over the
 probability simplex.  This script builds that QP from real data with the
-package's public pieces, solves it by KKT active-set enumeration, checks the
-KKT optimality conditions and compares the solution with the filter's own.
+package's public pieces, solves it by KKT active-set enumeration (its 2^M - 1
+active sets are why the nonparametric filter takes at most
+``simplex_qp.MAX_STATES`` states), checks the KKT optimality conditions and
+compares the solution with the filter's own, run on the observations alone.
 (Acceptance criterion 3 compares the solver with a lattice brute-force scan.)
 """
 import numpy as np
@@ -49,6 +51,6 @@ print("\nstationarity residual    ", f"{np.max(np.abs(stat)):.2e}")
 print("complementary slackness  ", f"{np.max(np.abs(sol.lam[:-1] * sol.u)):.2e}")
 print("dual feasibility min lam ", f"{sol.lam[:-1].min():.2e}")
 
-run = run_filters([traj], model, tau, l, eval_start=n, h=h, mode="nonparametric")[0]
+run = run_filters([traj.x], model, tau, l, eval_start=n, h=h, mode="nonparametric")[0]
 gap = np.max(np.abs(run.nonparametric_predictive[0] - sol.u))
 print(f"\nrun_filters' predictive at n: max |difference| = {gap:.1e}")

@@ -13,8 +13,9 @@ config = example_config()
 traj = simulate(config.model, config.n_total, config.burn_in, rng_seed=0)
 lo, hi = config.eval_window
 
-# run_filters takes a block of equal-length trajectories; this one is a block of one
-run = run_filters([traj], config.model, tau=config.tau, l=config.l, eval_start=lo)[0]
+# run_filters reads only the observations, an (R, n) block; this one is a block of one
+# series, and its hidden states stay here for scoring
+run = run_filters([traj.x], config.model, tau=config.tau, l=config.l, eval_start=lo)[0]
 truth = traj.s[lo - 1:hi]
 # each decision is the 1-based argmax of a (T, M) row; ties go to the smaller state
 decided = {name: getattr(run, name).argmax(axis=1) + 1

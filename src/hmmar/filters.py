@@ -18,15 +18,15 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import product_integral
 from .kde import _check_bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
-from .model import SwitchingArModel, Trajectory
-from .simplex_qp import solve_kkt
+from .model import SwitchingArModel
+from .simplex_qp import MAX_STATES, solve_kkt
 
 _SIMPLEX_TOL = 1e-10
 
@@ -42,17 +42,23 @@ def warmup_threshold(p: int, tau: int) -> int:
     return max(p, tau + 1) + WARMUP_MARGIN
 
 
-def check_window(p: int, tau: int, l: int, mode: str, lo: int, hi: int, ucv: bool = True) -> None:
-    """A ValueError unless ``mode`` is one of :data:`MODES` and steps lo .. hi of AR(p) series suit
-    it: lo must exceed :func:`warmup_threshold` if the nonparametric filter runs, else p, and a
-    UCV fit (``ucv``) of x_1^hi needs two delay vectors of dimension tau + 1, stride l."""
+def check_window(model: SwitchingArModel, tau: int, l: int, mode: str, lo: int, hi: int) -> None:
+    """A ValueError unless ``mode`` is in :data:`MODES` and steps lo <= hi of ``model``'s series
+    suit it: lo must exceed :func:`warmup_threshold` if the nonparametric filter runs, else the AR
+    order p, and that filter, h pinned or not, needs M <= :data:`~hmmar.simplex_qp.MAX_STATES`
+    and two delay vectors of dimension tau + 1, stride l, in x_1^hi."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    p, M = model.ar_order, model.M
+    if mode != "optimal" and M > MAX_STATES:
+        raise ValueError(f"model has {M} states; the nonparametric QP takes at most {MAX_STATES}")
     floor, what = ((p, "the AR order") if mode == "optimal"
                    else (warmup_threshold(p, tau), "the warm-up threshold"))
     if lo <= floor:
         raise ValueError(f"eval_window start {lo} must exceed {what} {floor}")
-    if ucv and mode != "optimal" and hi - tau - 1 < l:
+    if lo > hi:
+        raise ValueError(f"eval_window start {lo} is past its end {hi}")
+    if mode != "optimal" and hi - tau - 1 < l:
         raise ValueError(f"l = {l} leaves fewer than two delay vectors in x_1^{hi}")
 
 
@@ -227,59 +233,56 @@ class FilterRun:
                                  f"is not a probability vector: {v[k]!r}")
 
 
-def run_filters(trajectories: Sequence[Trajectory], model: SwitchingArModel, tau: int = 2,
-                l: int = 1, *, eval_start: int, h: Optional[float] = None,
-                mode: str = "both") -> list[FilterRun]:
-    """Run the filters ``mode`` selects (one of :data:`MODES`) on a block of trajectories.
+def run_filters(x, model: SwitchingArModel, tau: int = 2, l: int = 1, *, eval_start: int,
+                h: Optional[float] = None, mode: str = "both") -> list[FilterRun]:
+    """Run the filters ``mode`` selects (one of :data:`MODES`) on an (R, n) block of series.
 
-    Returns one :class:`FilterRun` per trajectory, recording n >= eval_start; a filter
-    that did not run leaves its arrays None.  The trajectories share one length and run
-    in lockstep: each step is one set of numpy calls on the block's (R, M) rows, bit for
-    bit as R blocks of one.  One (steps, R, M) buffer over steps n = p + 1 .. len(x)
-    holds in turn each series' AR means, read by the nonparametric prediction pass (one
-    :func:`emission_mixture_problem` per step, then one QP per series, for any M >= 1); their
-    log-emissions, made in place and read by the one Bayes update of every nonparametric
-    x_n; and the optimal filter's posteriors, each row over its own log-emissions, from
-    the stationary distribution at n = p + 1 on.  Steps eval_start .. len(x) must pass
-    :func:`check_window`.  If the bandwidth ``h`` is None it is selected per trajectory
-    by UCV on the delay embedding (dimension tau + 1, stride l) of its whole series;
-    pass a float 0 < h < inf to pin it, e.g. when checking causality.  Each series in
-    turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
+    ``x`` is array-like, one row per series (R >= 1), and is never written to.  Returns one
+    :class:`FilterRun` per row, recording n >= eval_start; a filter that did not run leaves its
+    arrays None.  The rows run in lockstep, bit for bit as R blocks of one.  One (steps, R, M)
+    buffer over steps p + 1 .. n holds in turn the AR means, read by the nonparametric
+    prediction pass (one :func:`emission_mixture_problem` and R QPs per step); their
+    log-emissions, made in place for the Bayes updates; and the optimal posteriors, from the
+    stationary distribution at n = p + 1 on.  Steps eval_start .. n must pass
+    :func:`check_window`.  If ``h`` is None, UCV selects it per series on the delay embedding
+    (dimension tau + 1, stride l) of its whole series; a float 0 < h < inf pins it.  Each series
+    in turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
     does not raises a :class:`SeriesError`.  Every row is checked to be a probability vector.
     """
     if h is not None:
         _check_bandwidth(h)
-    lengths = sorted({len(t) for t in trajectories})
-    if len(lengths) != 1:
-        raise ValueError(f"need one or more trajectories of one length, got lengths {lengths}")
-    p, R, n_len, M = model.ar_order, len(trajectories), lengths[0], model.M
-    T = max(n_len + 1 - eval_start, 0)
-    ucv = mode != "optimal" and T > 0 and h is None
-    check_window(p, tau, l, mode, eval_start, n_len, ucv)
+    try:
+        x = np.ascontiguousarray(x, dtype=float)  # C order: numpy reduces in layout order
+    except ValueError as exc:  # a ragged list, for one
+        raise ValueError(f"x is no (R, n) block of numbers: {exc}") from None
+    if x.ndim != 2 or not x.shape[0]:
+        raise ValueError(f"x must be an (R, n) block of R >= 1 series, got shape {x.shape}")
+    p, (R, n_len), M = model.ar_order, x.shape, model.M
+    check_window(model, tau, l, mode, eval_start, n_len)
+    T, ucv = n_len + 1 - eval_start, mode != "optimal" and h is None
     # Largest |x| or |mu| the filters' arithmetic takes.  With every |x|, |mu| <= peak, reach * peak
     # bounds each difference they square (an AR mean is at most (1 + 2 ||a||_1) peak); a sum holds
     # at most n_len squares, and the emissions divide one by 2 b^2.  UCV checks its own range.
     reach = 2.0 + 4.0 * max(sum(map(abs, a)) for a in model.a.tolist())
-    limit = np.sqrt(np.finfo(float).max * min(1.0 / max(n_len, 1), 2.0 * model.b2.min())) / reach
+    limit = np.sqrt(np.finfo(float).max * min(1.0 / n_len, 2.0 * model.b2.min())) / reach
     fits = []  # UCV before the block's arrays exist, so the two memory peaks do not add
-    for i, t in enumerate(trajectories):
-        if not (peak := float(np.abs(np.concatenate([t.x, model.mu])).max())) <= limit:
+    for i, row in enumerate(x):
+        if not (peak := float(np.abs(np.concatenate([row, model.mu])).max())) <= limit:
             raise SeriesError(i, f" reaches {peak:.3g}, past {limit:.3g}, "
                                  "where the filters' arithmetic overflows")
         try:  # the series is finite and long enough: only no spread, or one past UCV's range, fails
             if ucv:
-                fits.append([ucv_bandwidth(embed(t.x, d=tau + 1, l=l))])
+                fits.append([ucv_bandwidth(embed(row, d=tau + 1, l=l))])
         except ValueError as exc:
             raise SeriesError(i, f": {exc}") from None
-    h = np.array(fits) if fits else h
-    x = np.stack([t.x for t in trajectories])
+    h = np.array(fits) if ucv else h
     opt_pred = opt_post = npar_pred = npar_post = None
     fallback = np.zeros((R, T), dtype=bool)
     # Row i of a lag view holds the history x[p + i - 1], ..., x[i] of step
     # n = p + 1 + i; ar_means gets each series' own strided view.
-    buf = np.empty((max(n_len - p, 0), R, M))  # time-major; the means, log_f, then posteriors
-    for r, t in enumerate(trajectories if n_len > p else ()):
-        buf[:, r] = model.ar_means(sliding_window_view(t.x[:-1], p)[:, ::-1])
+    buf = np.empty((n_len - p, R, M))  # time-major; the means, log_f, then posteriors
+    for r, row in enumerate(x):
+        buf[:, r] = model.ar_means(sliding_window_view(row[:-1], p)[:, ::-1])
     k0 = eval_start - p - 1  # row of step n = eval_start
 
     if mode != "optimal":

@@ -81,12 +81,10 @@ class ExperimentConfig:
                 and all(map(_is_int, window))):
             raise ConfigError(f"eval_window must be two integers [lo, hi], got {window!r}")
         self.eval_window = lo, hi = tuple(window)
-        if not (1 <= lo <= hi <= self.n_total):
-            raise ConfigError(
-                f"eval_window must satisfy 1 <= lo <= hi <= n_total, got ({lo}, {hi})"
-            )
+        if hi > self.n_total:
+            raise ConfigError(f"eval_window end {hi} is past n_total {self.n_total}")
         try:  # run_filters' rules for the window
-            check_window(self.model.ar_order, self.tau, self.l, self.mode, lo, hi)
+            check_window(self.model, self.tau, self.l, self.mode, lo, hi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -164,8 +162,8 @@ def _run_block(task) -> list[dict]:
     model, (lo, hi) = config.model, config.eval_window
     trajectories = [simulate(model, hi, config.burn_in, config.seed + r) for r in repeats]
     try:
-        runs = run_filters(trajectories, model, tau=config.tau, l=config.l, eval_start=lo,
-                           mode=config.mode)
+        runs = run_filters([t.x for t in trajectories], model, tau=config.tau, l=config.l,
+                           eval_start=lo, mode=config.mode)
     except SeriesError as exc:
         raise ConfigError(f"model: the series of seed {config.seed + repeats[exc.index]}"
                           f"{exc.tail}") from None
@@ -196,9 +194,8 @@ def _worker_count(repeats: int) -> int:
         raise ConfigError(f"HMMAR_THREADS must be an integer, got {raw!r}") from exc
     if k < 0:
         raise ConfigError(f"HMMAR_THREADS must be >= 0, got {k}")
-    if k == 0:
-        k = os.cpu_count() or 1
-    return max(1, min(k, repeats))
+    cpus = os.cpu_count() or 1  # fork starts every worker at once, so no more than the CPUs
+    return max(1, min(k or cpus, cpus, repeats))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False) -> ErrorSummary:

@@ -24,6 +24,8 @@ _U_FEAS_TOL = 1e-9
 _LAMBDA_TOL = 1e-10
 _PG_MAX_ITER = 10_000
 _PG_TOL = 1e-10
+#: Most states solve_kkt takes: each state doubles its table of 2^M - 1 systems, time and memory.
+MAX_STATES = 12
 
 
 @dataclass(eq=False)
@@ -122,8 +124,8 @@ def _active_set_table(M: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]
 def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
     """Global minimizer of u' C u - 2 c' u over the simplex by KKT enumeration.
 
-    ``C`` must be a finite symmetric M x M matrix (M >= 1) and ``c`` a finite
-    length-M vector.  Each active set (see :func:`_active_set_table`) fixes
+    ``C`` must be a finite symmetric M x M matrix (1 <= M <= :data:`MAX_STATES`) and ``c``
+    a finite length-M vector.  Each active set (see :func:`_active_set_table`) fixes
     u_i = 0 for its flagged coordinates and lambda_i = 0 for the rest; the
     first whose solution has (numerically) nonnegative u and lambda is returned
     (for M = 1 the one system, [[C00, 1], [1, 0]], gives u = [1]).  If C fails the
@@ -139,6 +141,8 @@ def solve_kkt(C: np.ndarray, c: np.ndarray) -> SimplexPoint:
         raise ValueError(f"c must have length {M}, got shape {c.shape}")
     if M < 1:
         raise ValueError(f"need at least 1 state, got M = {M}")
+    if M > MAX_STATES:
+        raise ValueError(f"need at most {MAX_STATES} states, got M = {M}")
     rows, c_list = C.tolist(), c.tolist()
     flat = [*c_list, *chain.from_iterable(rows)]
     if not all(map(math.isfinite, flat)):

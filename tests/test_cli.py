@@ -259,6 +259,27 @@ def test_optimal_only_window_starts_past_the_ar_order(tmp_path, start):
             2, f"config error: eval_window start {start} must exceed the warm-up threshold 23\n")
 
 
+def test_nonparametric_filter_takes_at_most_twelve_states(tmp_path, monkeypatch):
+    # each state doubles the QP's table (two 3.45 GiB arrays at M = 20), so validate and
+    # run refuse 13 states before any simulation, unless only the optimal filter runs
+    import hmmar.harness as harness
+    transition = (0.5 * np.eye(13) + 0.5 / 13).tolist()
+    states = [{"mu": float(m), "a": [0.2], "b": 0.3} for m in range(13)]
+
+    def run_mode(mode, out):
+        path = example_with(tmp_path, lambda doc: doc.update(
+            model={"transition": transition, "states": states}, mode=mode))
+        return [run_cli([*args, "--config", path]) for args in (["validate"],
+                                                                ["run", "--out", str(out)])]
+
+    assert run_mode("optimal", tmp_path / "optimal") == [(0, "")] * 2
+    monkeypatch.setattr(harness, "simulate", lambda *args: pytest.fail("simulated"))
+    for mode in ("both", "nonparametric"):
+        assert run_mode(mode, tmp_path / "out") == [
+            (2, "config error: model has 13 states; the nonparametric QP takes at most 12\n")] * 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_reducible_chain_exits_2(config_path, command, capsys):
     # no unique stationary distribution for the optimal filter to start from

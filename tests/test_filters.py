@@ -106,7 +106,7 @@ def test_optimal_block_memory_peak():
     trajs = [simulate(model, 10_000, burn_in=100, rng_seed=r) for r in range(4)]
     tracemalloc.start()
     try:
-        run_filters(trajs, model, eval_start=101, mode="optimal")
+        run_filters([t.x for t in trajs], model, eval_start=101, mode="optimal")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,12 +193,14 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
     model = random_model(M, p, rng, zeros)
     traj = simulate(model, 300, burn_in=20, rng_seed=M + p)
     x = traj.x
-    for eval_start in (p + 1, 50, 300, 301):
-        run = run_filters([traj], model, eval_start=eval_start, mode="optimal")[0]
+    for eval_start in (p + 1, 50, 300):
+        run = run_filters([x], model, eval_start=eval_start, mode="optimal")[0]
         pred, post = reference_optimal_filter(x, model, eval_start)
         assert run.optimal_predictive.shape == (301 - eval_start, M)
         assert np.array_equal(run.optimal_predictive, pred)
         assert np.array_equal(run.optimal_posterior, post)
+    with pytest.raises(ValueError, match="^eval_window start 301 is past its end 300$"):
+        run_filters([x], model, eval_start=301, mode="optimal")
     pred_all, post_all = reference_optimal_filter(x, model, p + 1)
     posterior = stationary_distribution(model.transition)
     for k, n in enumerate(range(p + 1, len(x) + 1)):
@@ -210,7 +212,7 @@ def test_optimal_filter_matches_per_step_reference_exactly(M, p, zeros):
 
 def assert_nonparametric_matches_steps(traj, model, tau, l, h):
     eval_start = warmup_threshold(model.ar_order, tau) + 1
-    run = run_filters([traj], model, tau=tau, l=l, eval_start=eval_start,
+    run = run_filters([traj.x], model, tau=tau, l=l, eval_start=eval_start,
                       h=h, mode="nonparametric")[0]
     if h is None:
         h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))
@@ -254,7 +256,7 @@ def test_nonparametric_arithmetic_matches_quadrature_oracle(seed):
     eval_start = warmup_threshold(p, tau) + 1
     traj = simulate(model, eval_start + 30, burn_in=20, rng_seed=seed)
     h = ucv_bandwidth(embed(traj.x, d=tau + 1, l=l))
-    run = run_filters([traj], model, tau, l, eval_start=eval_start, h=h,
+    run = run_filters([traj.x], model, tau, l, eval_start=eval_start, h=h,
                       mode="nonparametric")[0]
     for k in (0, 15, 30):
         n = eval_start + k
@@ -288,7 +290,7 @@ def test_block_pass_builds_each_step_in_one_call(monkeypatch):
         return C, c
 
     monkeypatch.setattr(filters, "emission_mixture_problem", counted)
-    run_filters(trajectories, model, eval_start=eval_start, mode="nonparametric")
+    run_filters([t.x for t in trajectories], model, eval_start=eval_start, mode="nonparametric")
     M = model.M
     assert seen == [(n, (R, M, M), (R, M), True) for n in range(eval_start, n_len + 1)]
     x = np.stack([t.x for t in trajectories])
@@ -436,47 +438,45 @@ class TestNonparametricStep:
 
 class TestRunFilters:
     def test_empty_window(self):
+        # a window that records no step is refused, in every mode, pinned h or not
         model = example_model()
-        traj = simulate(model, 60, burn_in=10, rng_seed=19)
-        run = run_filters([traj], model, tau=2, l=1, eval_start=61)[0]
-        assert run.qp_fallback.shape == (0,)
-        for v in (run.optimal_posterior, run.nonparametric_predictive):
-            assert v.shape == (0, 3)
+        x = simulate(model, 60, burn_in=10, rng_seed=19).x
+        for mode in MODES:
+            for h in (None, 0.2):
+                with pytest.raises(ValueError, match="^eval_window start 61 is past its end 60$"):
+                    run_filters([x], model, tau=2, l=1, eval_start=61, h=h, mode=mode)
 
     @pytest.mark.parametrize("p", [1, 3])
-    def test_series_no_longer_than_p_gives_empty_arrays(self, p):
-        # the shared pass builds a (0, p) lag view and (0, M) emission rows
+    def test_series_no_longer_than_p_is_refused(self, p):
+        # no step of such a series has p lags, so every window start is past its end
         model = random_model(3, p, np.random.default_rng(p))
         eval_start = warmup_threshold(p, 2) + 1
         for n_len in range(p + 1):
-            traj = Trajectory(s=np.ones(n_len, dtype=int), x=np.linspace(0.0, 1.0, n_len))
-            for mode in ("optimal", "nonparametric", "both"):
-                run = run_filters([traj], model, tau=2, l=1, eval_start=eval_start, mode=mode)[0]
-                assert run.qp_fallback.shape == (0,)
-                for method in ("optimal", "nonparametric"):
-                    if mode in (method, "both"):
-                        assert getattr(run, f"{method}_predictive").shape == (0, 3)
-                        assert getattr(run, f"{method}_posterior").shape == (0, 3)
+            x = np.linspace(0.0, 1.0, n_len)
+            for mode in MODES:
+                with pytest.raises(ValueError, match=f"^eval_window start {eval_start} is past "
+                                                     f"its end {n_len}$"):
+                    run_filters([x], model, tau=2, l=1, eval_start=eval_start, mode=mode)
 
     def test_eval_start_must_clear_warmup(self):
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
         with pytest.raises(ValueError):
-            run_filters([traj], model, tau=2, l=1, eval_start=10)
+            run_filters([traj.x], model, tau=2, l=1, eval_start=10)
 
     def test_eval_start_must_clear_the_ar_order(self):
         # the optimal filter alone has no warm-up; its first step needs p lags
         model = example_model()
         traj = simulate(model, 60, burn_in=10, rng_seed=19)
         with pytest.raises(ValueError, match="^eval_window start 2 must exceed the AR order 2$"):
-            run_filters([traj], model, eval_start=2, mode="optimal")
-        run = run_filters([traj], model, eval_start=3, mode="optimal")[0]
+            run_filters([traj.x], model, eval_start=2, mode="optimal")
+        run = run_filters([traj.x], model, eval_start=3, mode="optimal")[0]
         assert run.optimal_posterior.shape == (58, 3)
 
     def test_well_separated_states_filter_nearly_perfectly(self):
         model = separated_model()
         traj = simulate(model, 10_000, burn_in=100, rng_seed=23)
-        run = run_filters([traj], model, eval_start=2, mode="optimal")[0]
+        run = run_filters([traj.x], model, eval_start=2, mode="optimal")[0]
         wrong = run.optimal_posterior.argmax(axis=1) + 1 != traj.s[1:]
         assert wrong.mean() < 0.01
 
@@ -485,9 +485,8 @@ class TestRunFilters:
         # any decision already made
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=29)
-        full = run_filters([traj], model, tau=2, l=1, eval_start=90, h=0.15)[0]
-        cut = Trajectory(s=traj.s[:100], x=traj.x[:100])
-        part = run_filters([cut], model, tau=2, l=1, eval_start=90, h=0.15)[0]
+        full = run_filters([traj.x], model, tau=2, l=1, eval_start=90, h=0.15)[0]
+        part = run_filters([traj.x[:100]], model, tau=2, l=1, eval_start=90, h=0.15)[0]
         assert full.eval_start == part.eval_start
         for name in ("optimal_posterior", "optimal_predictive", "nonparametric_posterior"):
             np.testing.assert_array_equal(getattr(full, name).argmax(axis=1)[:11],
@@ -498,7 +497,7 @@ class TestRunFilters:
     def test_vectors_stay_on_simplex(self):
         model = example_model()
         traj = simulate(model, 150, burn_in=50, rng_seed=31)
-        run = run_filters([traj], model, tau=2, l=1, eval_start=60)[0]
+        run = run_filters([traj.x], model, tau=2, l=1, eval_start=60)[0]
         for v in (run.optimal_predictive, run.optimal_posterior,
                   run.nonparametric_predictive, run.nonparametric_posterior):
             assert v.shape == (91, 3)
@@ -509,15 +508,15 @@ class TestRunFilters:
     def test_method_selection(self):
         model = example_model()
         traj = simulate(model, 120, burn_in=50, rng_seed=37)
-        run = run_filters([traj], model, eval_start=100, mode="optimal")[0]
+        run = run_filters([traj.x], model, eval_start=100, mode="optimal")[0]
         assert run.nonparametric_posterior is None and run.nonparametric_predictive is None
         assert run.optimal_posterior.shape == run.optimal_predictive.shape == (21, 3)
         assert not run.qp_fallback.any()
-        run = run_filters([traj], model, eval_start=100, mode="nonparametric")[0]
+        run = run_filters([traj.x], model, eval_start=100, mode="nonparametric")[0]
         assert run.optimal_posterior is None and run.optimal_predictive is None
         assert run.nonparametric_posterior.shape == run.nonparametric_predictive.shape == (21, 3)
         with pytest.raises(ValueError, match="mode"):
-            run_filters([traj], model, eval_start=100, mode="nope")
+            run_filters([traj.x], model, eval_start=100, mode="nope")
 
 
 @pytest.mark.parametrize("field", ["predictive", "posterior"])
@@ -527,7 +526,7 @@ def test_filter_state_rejects_nan(field, bad, monkeypatch):
     import hmmar.filters as filters
     model = example_model()
     traj = simulate(model, 120, burn_in=50, rng_seed=43)
-    run = partial(run_filters, [traj], model, tau=2, l=1, eval_start=100, h=0.15)
+    run = partial(run_filters, [traj.x], model, tau=2, l=1, eval_start=100, h=0.15)
 
     # both filters write every step through _bayes_update: the optimal loop
     # one step's (1, M) rows at a time, the nonparametric filter all its
@@ -651,7 +650,13 @@ def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau,
     eval_start = warmup_threshold(p, tau) + 1
     traj = simulate(model, eval_start + extra, burn_in=20, rng_seed=seed)
     x = traj.x
-    run = partial(run_filters, [traj], model, tau=tau, l=l, eval_start=eval_start, h=h)
+    run = partial(run_filters, [traj.x], model, tau=tau, l=l, eval_start=eval_start, h=h)
+    if extra < 0:  # a window that records no step
+        for mode in MODES:
+            with pytest.raises(ValueError, match=f"^eval_window start {eval_start} is past its "
+                                                 f"end {len(x)}$"):
+                run(mode=mode)
+        return
     both, optimal, nonparametric = (run(mode=mode)[0]
                                     for mode in ("both", "optimal", "nonparametric"))
     steps, fallback = per_step_rows(x, model, tau, l, eval_start, h)
@@ -663,7 +668,7 @@ def test_shared_emission_pass_matches_single_modes_and_per_step_loops(M, p, tau,
         single = optimal if name.startswith("optimal") else nonparametric
         assert np.array_equal(got, getattr(single, name))
         assert np.array_equal(got, rows)
-        assert got.shape == (max(len(x) + 1 - eval_start, 0), M)
+        assert got.shape == (len(x) + 1 - eval_start, M)
         assert np.all(got >= 0.0) and np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-10)
 
 
@@ -682,10 +687,15 @@ def test_block_matches_single_trajectory_runs_and_per_step_loops(k, mode, M, p, 
              for r in range(k)]
     run = partial(run_filters, model=model, tau=tau, l=l, eval_start=eval_start,
                   h=h, mode=mode)
-    block = run(trajs)
+    if extra < 0:  # a window that records no step
+        with pytest.raises(ValueError, match=f"^eval_window start {eval_start} is past its "
+                                             f"end {eval_start + extra}$"):
+            run([t.x for t in trajs])
+        return
+    block = run([t.x for t in trajs])
     assert len(block) == k
     for traj, got in zip(trajs, block):
-        single = run([traj])[0]
+        single = run([traj.x])[0]
         steps, fallback = per_step_rows(traj.x, model, tau, l, eval_start, h)
         assert np.array_equal(got.qp_fallback, single.qp_fallback)
         if mode != "optimal":
@@ -702,22 +712,56 @@ def test_block_matches_single_trajectory_runs_and_per_step_loops(k, mode, M, p, 
 def test_default_bandwidth_rejects_too_narrow_series():
     # UCV's 1/h^3 would overflow on this series; oversmoothed_bandwidth rejects it first
     x = 1e-110 * np.random.default_rng(0).standard_normal(300)
-    traj = Trajectory(s=np.ones(300, dtype=int), x=x)
     with pytest.raises(ValueError, match="^series 0: h_plus .* is below"):
-        run_filters([traj], example_model(), eval_start=201, mode="nonparametric")
+        run_filters([x], example_model(), eval_start=201, mode="nonparametric")
 
 
 def test_block_with_one_delay_vector_is_refused_before_ucv():
-    # a block rule, as the config's: one message for the block, not a SeriesError of series 0
+    # a block rule, as the config's: one message for the block, not a SeriesError of series 0;
+    # it holds for every nonparametric run, with h pinned too
     model = example_model()
-    trajs = [simulate(model, 30, burn_in=10, rng_seed=s) for s in (0, 1)]
-    with pytest.raises(ValueError, match=r"^l = 28 leaves fewer than two delay vectors "
-                                         r"in x_1\^30$") as info:
-        run_filters(trajs, model, tau=2, l=28, eval_start=24)
-    assert not isinstance(info.value, SeriesError)
-    for h, mode in ((0.3, "both"), (None, "optimal")):
-        runs = run_filters(trajs, model, tau=2, l=28, eval_start=24, h=h, mode=mode)
-        assert [run.optimal_posterior.shape for run in runs] == [(7, 3)] * 2
+    xs = [simulate(model, 30, burn_in=10, rng_seed=s).x for s in (0, 1)]
+    for h in (None, 0.3):
+        with pytest.raises(ValueError, match=r"^l = 28 leaves fewer than two delay vectors "
+                                             r"in x_1\^30$") as info:
+            run_filters(xs, model, tau=2, l=28, eval_start=24, h=h)
+        assert not isinstance(info.value, SeriesError)
+    runs = run_filters(xs, model, tau=2, l=28, eval_start=24, mode="optimal")
+    assert [run.optimal_posterior.shape for run in runs] == [(7, 3)] * 2
+
+
+def test_block_layouts_give_the_same_runs():
+    # a list of series, a C-ordered (R, n) array, its Fortran-ordered copy and a read-only
+    # copy give equal runs, UCV and both filters included; the filters never write into x
+    model = example_model()
+    rows = [simulate(model, 160, burn_in=50, rng_seed=70 + r).x for r in range(3)]
+    block = np.stack(rows)
+    frozen = block.copy()
+    frozen.setflags(write=False)
+    listed, *others = (run_filters(x, model, eval_start=141, mode="both")
+                       for x in (rows, block, np.asfortranarray(block), frozen))
+    fields = ("qp_fallback", "optimal_predictive", "optimal_posterior",
+              "nonparametric_predictive", "nonparametric_posterior")
+    for runs in others:
+        assert len(runs) == 3
+        for want, got in zip(listed, runs):
+            assert all(np.array_equal(getattr(want, f), getattr(got, f)) for f in fields)
+    assert np.array_equal(frozen, block)
+
+
+SHAPE = r"^x must be an \(R, n\) block of R >= 1 series, got shape "
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.zeros(100), SHAPE + r"\(100,\)$"),
+    (np.zeros((2, 2, 100)), SHAPE + r"\(2, 2, 100\)$"),
+    (np.zeros((0, 100)), SHAPE + r"\(0, 100\)$"),
+    ([np.zeros(100), np.zeros(99)], r"^x is no \(R, n\) block of numbers: .*inhomogeneous"),
+], ids=["1-d", "3-d", "no-rows", "ragged"])
+def test_block_of_another_shape_is_refused(x, message):
+    # x is one (R, n) block with R >= 1; a ragged list has no shape to name
+    with pytest.raises(ValueError, match=message):
+        run_filters(x, example_model(), eval_start=61)
 
 
 def test_single_state_step_is_the_qp_and_flags_a_c_below_the_floor():
@@ -725,18 +769,17 @@ def test_single_state_step_is_the_qp_and_flags_a_c_below_the_floor():
     # of C, 1 / sqrt(4 pi b^2), is below the definiteness floor, so the step falls back
     for b, flagged in ((1.0, False), (3e11, True)):
         model = SwitchingArModel(TransitionMatrix([[1.0]]), [ArStateParams(0.0, [0.2], b)])
-        run = run_filters([simulate(model, 60, burn_in=10, rng_seed=0)], model, eval_start=30,
+        run = run_filters([simulate(model, 60, burn_in=10, rng_seed=0).x], model, eval_start=30,
                           mode="nonparametric")[0]
         assert np.array_equal(run.nonparametric_predictive, np.ones((31, 1)))
         assert np.array_equal(run.nonparametric_posterior, np.ones((31, 1)))
         assert run.qp_fallback.tolist() == [flagged] * 31
 
 
-def example_series(n: int = 600, seed: int = 0, factor: float = 1.0) -> Trajectory:
-    """The example config's series of ``seed``, its observations times ``factor``."""
+def example_series(n: int = 600, seed: int = 0, factor: float = 1.0) -> np.ndarray:
+    """The observations of the example config's series of ``seed``, times ``factor``."""
     cfg = example_config()
-    traj = simulate(cfg.model, n, cfg.burn_in, seed)
-    return Trajectory(s=traj.s, x=factor * traj.x)
+    return factor * simulate(cfg.model, n, cfg.burn_in, seed).x
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

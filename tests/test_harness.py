@@ -206,8 +206,10 @@ class TestRunExperiment:
         assert b"method,task,mean_error,stderr,repeats" in a
 
     def test_parallel_equals_serial(self, tmp_path, monkeypatch):
-        # summary.csv and every trace file, byte for byte
+        # summary.csv and every trace file, byte for byte; two real workers on any host
+        import hmmar.harness as harness
         cfg = config_from_dict(small_doc(repeats=4))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         monkeypatch.delenv("HMMAR_THREADS", raising=False)
         run_experiment(cfg, out_dir=tmp_path / "serial", trace=True)
         monkeypatch.setenv("HMMAR_THREADS", "2")
@@ -239,6 +241,16 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # CPU count unknown
         assert harness._worker_count(1000) == 1
 
+    def test_thread_count_is_capped_at_the_cpus(self, monkeypatch):
+        # a fork pool starts all its workers at once, so HMMAR_THREADS=64 on 2 CPUs asks for 2;
+        # _worker_count only counts, and no pool starts here
+        import hmmar.harness as harness
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HMMAR_THREADS", "64")
+        assert [harness._worker_count(r) for r in (1, 2, 100)] == [1, 2, 2]
+        monkeypatch.setenv("HMMAR_THREADS", "1")
+        assert harness._worker_count(100) == 1
+
     @pytest.mark.parametrize("threads", [None, "2"])
     @pytest.mark.parametrize("factor,tail", [
         (1e200, r" reaches .*, past .*, where the filters' arithmetic overflows$"),
@@ -259,6 +271,7 @@ class TestRunExperiment:
         elif multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched simulate reaches pool workers only through fork")
         else:
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # two workers on any host
             monkeypatch.setenv("HMMAR_THREADS", threads)
         with pytest.raises(ConfigError, match="^model: the series of seed 2" + tail) as info:
             run_experiment(config_from_dict(small_doc(repeats=4)))
@@ -315,7 +328,7 @@ class TestEmitTrace:
     def test_roundtrip_and_row_count(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters([traj], cfg.model, tau=cfg.tau, l=cfg.l,
+        run = run_filters([traj.x], cfg.model, tau=cfg.tau, l=cfg.l,
                           eval_start=cfg.eval_window[0])[0]
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
@@ -336,7 +349,7 @@ class TestEmitTrace:
     def test_missing_method_leaves_cells_empty(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0],
+        run = run_filters([traj.x], cfg.model, eval_start=cfg.eval_window[0],
                           mode="optimal")[0]
         path = tmp_path / "trace.csv"
         emit_trace(traj, run, path)
@@ -353,7 +366,7 @@ class TestEmitTrace:
     def test_trajectory_shorter_than_run_rejected(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0],
+        run = run_filters([traj.x], cfg.model, eval_start=cfg.eval_window[0],
                           mode="optimal")[0]
         short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
         with pytest.raises(ValueError, match="the run ends at n = 100"):
@@ -362,7 +375,7 @@ class TestEmitTrace:
     def test_missing_directory_names_the_trace_file(self, tmp_path):
         cfg = config_from_dict(small_doc(repeats=1, mode="optimal"))
         traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-        run = run_filters([traj], cfg.model, eval_start=cfg.eval_window[0], mode="optimal")[0]
+        run = run_filters([traj.x], cfg.model, eval_start=cfg.eval_window[0], mode="optimal")[0]
         path = tmp_path / "missing" / "trace.csv"
         with pytest.raises(OSError, match=f"^cannot write trace file {re.escape(str(path))}: "):
             emit_trace(traj, run, path)
@@ -445,9 +458,9 @@ def test_block_partition(steps, repeats, sizes, monkeypatch):
 
 def test_block_of_unequal_lengths_rejected():
     cfg = config_from_dict(small_doc())
-    traj = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed)
-    short = Trajectory(s=traj.s[:-1], x=traj.x[:-1])
-    with pytest.raises(ValueError, match=r"one length, got lengths \[99, 100\]"):
-        run_filters([traj, short], cfg.model, eval_start=cfg.eval_window[0])
-    with pytest.raises(ValueError, match="one or more trajectories"):
+    x = simulate(cfg.model, cfg.n_total, cfg.burn_in, cfg.seed).x
+    with pytest.raises(ValueError, match=r"^x is no \(R, n\) block of numbers: .*inhomogeneous"):
+        run_filters([x, x[:-1]], cfg.model, eval_start=cfg.eval_window[0])
+    with pytest.raises(ValueError, match=r"^x must be an \(R, n\) block of R >= 1 series, "
+                                         r"got shape \(0,\)$"):
         run_filters([], cfg.model, eval_start=cfg.eval_window[0])

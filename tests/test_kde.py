@@ -17,7 +17,7 @@ from hmmar.harness import example_config
 from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, EmbeddedSample, _brent, _exp_sums,
                        _ucv_bounds, conditional_weights, embed, embedding_heads,
                        oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
-from hmmar.model import Trajectory, simulate
+from hmmar.model import simulate
 
 from kde_reference import kde_eval
 
@@ -701,10 +701,9 @@ def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
     # a run pinned to it would return near-uniform predictive rows
     x = np.random.default_rng(23).standard_normal(50)
     message = "^h must be positive and finite"
-    traj = Trajectory(s=np.ones(50, dtype=int), x=x)
     for mode in MODES:  # refused even where no filter reads h
         with pytest.raises(ValueError, match=message):
-            run_filters([traj], example_config().model, eval_start=40, h=bad, mode=mode)
+            run_filters([x], example_config().model, eval_start=40, h=bad, mode=mode)
     with pytest.raises(ValueError, match=message):
         conditional_weights(x, 40, 2, 1, bad)
     with pytest.raises(ValueError, match=message):  # one bad entry of a block's (R, 1) h

@@ -205,6 +205,13 @@ class TestSolveKkt:
         with pytest.raises(ValueError, match="^need at least 1 state, got M = 0$"):
             solve_kkt(np.zeros((0, 0)), np.zeros(0))
 
+    def test_more_states_than_the_limit_are_refused_before_any_table(self):
+        # each state doubles the table of 2^M - 1 systems; past MAX_STATES = 12 none is built
+        cached = _active_set_table.cache_info().currsize
+        with pytest.raises(ValueError, match="^need at most 12 states, got M = 13$"):
+            solve_kkt(np.eye(13), np.zeros(13))
+        assert _active_set_table.cache_info().currsize == cached
+
 
 class TestStackedEnumeration:
     def test_mask_table_follows_reference_order(self):
