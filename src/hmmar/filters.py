@@ -137,7 +137,7 @@ def emission_mixture_problem(x: np.ndarray, n: int, means: np.ndarray, model: Sw
     :meth:`SwitchingArModel.ar_means`.  A leading repeat axis on ``x``, ``means``
     and ``h`` (R, 1) runs a block and gives the (R, M, M) C and the (R, M) c.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float, order="C")
     M = model.M
     if means.shape != x.shape[:-1] + (M,):
         raise ValueError(f"means has shape {means.shape}, x needs {x.shape[:-1] + (M,)}")
@@ -149,14 +149,14 @@ def emission_mixture_problem(x: np.ndarray, n: int, means: np.ndarray, model: Sw
     beta = conditional_weights(x, n, tau, l, h)
     heads = embedding_heads(x, n, tau, l)
     var = (h * h + model.b2)[..., None]  # kernel variance + emission variance, per state
-    # (..., M, N) kernels in place along the long N axis, the last divide into beta @'s blocks
+    # (..., M, N) kernels in place along the long N axis, weighted and summed along it
     kernels = np.subtract(heads[..., None, :], means[..., None])
     kernels **= 2
     kernels /= -2.0 * var
     np.exp(kernels, out=kernels)
-    np.divide(kernels, np.sqrt(2.0 * np.pi * var),
-              out=np.swapaxes(blocks := np.empty(heads.shape + (M,)), -1, -2))
-    return np.array(C).reshape(means.shape + (M,)), np.matmul(beta[..., None, :], blocks)[..., 0, :]
+    kernels *= beta[..., None, :]
+    c = np.add.reduce(kernels, axis=-1) / np.sqrt(2.0 * np.pi * var[..., 0])
+    return np.array(C).reshape(means.shape + (M,)), c
 
 
 def nonparametric_step(x: np.ndarray, n: int, model: SwitchingArModel,

@@ -260,7 +260,7 @@ def conditional_weights(x: np.ndarray, n: int, tau: int, l: int,
     with d = tau + 1), or a block's (R, N) rows, each bit-equal to its own
     call, when ``x`` and ``h`` (R, 1) carry a leading repeat axis.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float, order="C")
     if np.ndim(h) and np.shape(h) != x.shape[:-1] + (1,):
         raise ValueError(f"h has shape {np.shape(h)}, x needs a float or {x.shape[:-1] + (1,)}")
     _check_bandwidth(h)

@@ -164,17 +164,17 @@ def _enumerate_kkt(C: np.ndarray, c: list, scale: float) -> Optional[SimplexPoin
     active, takes_c, floor, base = _active_set_table(M)
     A = base.copy()
     np.copyto(A[:, :M, :M], C, where=takes_c)
-    rhs = np.array([*c, 1.0])[:, None]
+    rhs = np.array([*c, 1.0])
     try:
-        x = np.linalg.solve(A, rhs)
+        x = np.linalg.solve(A, rhs[:, None])
     except np.linalg.LinAlgError:
         return None
-
     # NaN fails every comparison; a row holding +-inf is skipped before the residual
     for k in (x >= floor).all(axis=(1, 2)).nonzero()[0].tolist():
         r = x[k, :, 0].tolist()
         # a large residual marks a nearly singular system solved to garbage
-        if all(map(math.isfinite, r)) and np.abs(A[k] @ x[k] - rhs).max() <= 1e-8 * scale:
+        if all(map(math.isfinite, r)) and np.abs(
+                np.add.reduce(A[k] * x[k, :, 0], axis=-1) - rhs).max() <= 1e-8 * scale:
             # v > 0.0 clips -0.0 to 0.0, as np.maximum(v, 0.0) does; max(v, 0.0) would not
             u = np.array([v if v > 0.0 and not a else 0.0 for a, v in zip(active[k], r)])
             lam = np.array([v if a else 0.0 for a, v in zip(active[k], r)] + [r[M]])

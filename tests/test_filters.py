@@ -1,7 +1,11 @@
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,6 +751,60 @@ def test_block_layouts_give_the_same_runs():
         for want, got in zip(listed, runs):
             assert all(np.array_equal(getattr(want, f), getattr(got, f)) for f in fields)
     assert np.array_equal(frozen, block)
+
+
+def test_block_layouts_give_the_same_weights_and_qp():
+    # conditional_weights and emission_mixture_problem read x C-ordered: a Fortran-ordered
+    # block, its C-ordered copy and its rows one at a time give the same bits, since the
+    # order of a numpy reduction follows the layout
+    model, n, hs = example_model(), 150, [0.2, 0.25, 0.3]
+    block = np.stack([simulate(model, 160, burn_in=50, rng_seed=70 + r).x for r in range(3)])
+    h = np.array(hs)[:, None]
+    means = np.stack([model.ar_means(row[n - 1 - model.ar_order:n - 1][::-1]) for row in block])
+    want_w = np.stack([conditional_weights(row, n, 2, 1, hr) for row, hr in zip(block, hs)])
+    rows = [emission_mixture_problem(row, n, m, model, 2, 1, hr)
+            for row, m, hr in zip(block, means, hs)]
+    want_C, want_c = (np.stack(part) for part in zip(*rows))
+    for x in (block, np.asfortranarray(block)):
+        assert np.array_equal(conditional_weights(x, n, 2, 1, h), want_w)
+        C, c = emission_mixture_problem(x, n, means, model, 2, 1, h)
+        assert np.array_equal(C, want_C) and np.array_equal(c, want_c)
+
+
+_C_DIGEST_CHILD = """
+import hashlib
+import numpy as np
+from hmmar.filters import emission_mixture_problem
+from hmmar.harness import example_config
+from hmmar.model import simulate
+model = example_config().model
+x = np.stack([simulate(model, 320, burn_in=50, rng_seed=90 + r).x for r in range(4)])
+h = np.array([[0.2], [0.25], [0.3], [0.35]])
+digest = hashlib.sha256()
+for n in (150, 220, 320):
+    means = np.stack([model.ar_means(row[n - 1 - model.ar_order:n - 1][::-1]) for row in x])
+    digest.update(emission_mixture_problem(x, n, means, model, 2, 1, h)[1].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_column_does_not_depend_on_the_blas_kernel():
+    # c is numpy elementwise arithmetic and add.reduce, no BLAS product: OpenBLAS's kernels
+    # for Haswell, Sandybridge and Prescott give the default's bits, each in its own child
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    settings = [{}] + [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Sandybridge",
+                                                                  "Prescott")]
+    children = [subprocess.Popen([sys.executable, "-c", _C_DIGEST_CHILD],
+                                 env=dict(base, **setting), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+                for setting in settings]
+    digests = []
+    for setting, child in zip(settings, children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, (setting, err[-2000:])
+        digests.append(out.strip())
+    assert len(set(digests)) == 1, list(zip(settings, digests))
 
 
 SHAPE = r"^x must be an \(R, n\) block of R >= 1 series, got shape "

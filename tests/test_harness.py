@@ -2,6 +2,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -434,6 +436,26 @@ def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
     monkeypatch.setattr(harness, "run_filters", counted)
     assert moved(name, GOLDEN_DIGESTS) == []
     assert sizes == {2: [2], 3: [2, 1]}[load_config(DATA / f"{name}.json").repeats]
+
+
+def test_golden_summaries_hold_under_other_kernels():
+    # every summary.csv row of the goldens holds on another host class: OpenBLAS's AVX2
+    # kernel, and numpy without its AVX-512 path, each in its own child.  Trace digests
+    # may move (LAPACK, BLAS in _predict and numpy's exp and log round apart); rows may not
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    settings = [{"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}]
+    script = str(Path(__file__).parent / "regenerate_goldens.py")
+    children = [subprocess.Popen([sys.executable, script, "--check"], env=dict(base, **setting),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for setting in settings]
+    for setting, child in zip(settings, children):
+        out, err = child.communicate(timeout=300)
+        assert child.returncode in (0, 1), (setting, err[-2000:])
+        lines = out.splitlines()
+        assert lines and all(" digest " in line or line.startswith("unchanged: ")
+                             for line in lines), (setting, lines)
 
 
 @pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [4] * 12 + [2]),
