@@ -14,7 +14,6 @@ import numbers
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,15 +90,10 @@ class ArStateParams:
 
 @dataclass(eq=False)
 class SwitchingArModel:
-    """Hidden chain plus one ArStateParams per state.
-
-    ``initial_dist`` is the distribution of the first hidden state; ``None``
-    means "use the stationary distribution" (resolved at simulation time).
-    """
+    """Hidden chain, started from its stationary law, plus one ArStateParams per state."""
 
     transition: TransitionMatrix
     states: list[ArStateParams]
-    initial_dist: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.states) != self.transition.M:
@@ -110,13 +104,6 @@ class SwitchingArModel:
         orders = {s.p for s in self.states}
         if len(orders) != 1:
             raise ValueError(f"all states must share one AR order, got orders {sorted(orders)}")
-        if self.initial_dist is not None:
-            q = _number_array(self.initial_dist, "initial_dist")
-            if q.shape != (self.transition.M,):
-                raise ValueError(f"initial_dist must have length {self.transition.M}")
-            if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= _ROW_SUM_TOL):
-                raise ValueError("initial_dist must be a probability vector")
-            self.initial_dist = q
         # Per-state parameters as arrays, built once for the filters' inner loops.
         self.mu = np.array([st.mu for st in self.states])
         self.a = np.stack([st.a for st in self.states])
@@ -224,11 +211,9 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     rng_noise = np.random.default_rng(noise_seq)
 
     p = model.ar_order
-    init = model.stationary if model.initial_dist is None else model.initial_dist
-
     total = burn_in + n
-    # Row i < M draws the successor of state i; row M, the start distribution, draws S_1.
-    cum_rows = np.cumsum(np.vstack([model.transition.p, init]), axis=1)
+    # Row i < M draws the successor of state i; row M, the stationary law, draws S_1.
+    cum_rows = np.cumsum(np.vstack([model.transition.p, model.stationary]), axis=1)
     cum_rows[:, -1] = np.maximum(cum_rows[:, -1], 1.0)  # absorb rounding in the last bin
     # State j is drawn when cum[j - 1] <= u < cum[j] (bisect_right on plain floats).
     rows, state, chain = cum_rows.tolist(), model.M, []
@@ -273,8 +258,7 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
     Expected shape::
 
         {"transition": [[...]],
-         "states": [{"mu": ..., "a": [...], "b": ...}, ...],
-         "initial_dist": [...]}          # optional
+         "states": [{"mu": ..., "a": [...], "b": ...}, ...]}
 
     Unknown keys are rejected; the types check the numbers.
     """
@@ -288,4 +272,4 @@ def model_from_dict(doc: dict) -> SwitchingArModel:
             states.append(ArStateParams(**sdoc))
         except ValueError as exc:  # its messages start with the parameter's name
             raise ValueError(f"states[{i}].{exc}") from None
-    return SwitchingArModel(TransitionMatrix(doc["transition"]), states, doc.get("initial_dist"))
+    return SwitchingArModel(TransitionMatrix(doc["transition"]), states)

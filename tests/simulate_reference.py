@@ -24,12 +24,10 @@ def reference_simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     rng_noise = np.random.default_rng(noise_seq)
 
     p = model.ar_order
-    init = model.stationary if model.initial_dist is None else model.initial_dist
-
     total = burn_in + n
     cum_rows = np.cumsum(model.transition.p, axis=1)
     cum_rows[:, -1] = np.maximum(cum_rows[:, -1], 1.0)
-    cum_init = np.cumsum(init)
+    cum_init = np.cumsum(model.stationary)
     cum_init[-1] = max(cum_init[-1], 1.0)
     rows = cum_rows.tolist()
     u = rng_chain.random(total)

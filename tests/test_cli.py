@@ -17,7 +17,7 @@ from hmmar import example_config_path, warmup_threshold
 from hmmar.cli import main
 from hmmar.filters import MODES
 
-EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
+from example_model import EXAMPLE_P
 
 
 @pytest.fixture
@@ -297,7 +297,6 @@ def test_reducible_chain_exits_2(config_path, command, capsys):
     ("states[0].a", lambda model: model["states"][0].update(a={})),
     ("states", lambda model: model.update(states=3)),
     ("transition", lambda model: model.update(transition={})),
-    ("initial_dist", lambda model: model.update(initial_dist={})),
 ])
 def test_non_numeric_model_document_exits_2(config_path, field, edit, capsys):
     edit_config(config_path, lambda doc: edit(doc["model"]))
@@ -307,6 +306,14 @@ def test_non_numeric_model_document_exits_2(config_path, field, edit, capsys):
 
 def test_missing_config_file(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "none.json")]) == 2
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    # neither file reaches the config rules: one is not UTF-8, one nests past the recursion limit
+    for name, data in (("latin.json", b'\xff{"model": 1}'), ("deep.json", b"[" * 100_000)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["validate", "--config", str(tmp_path / name)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_run_writes_summary(config_path, tmp_path, capsys):
@@ -475,12 +482,8 @@ SPOILERS = [
     ("state-not-object", ("model", "states", -1), [1.0], "states[{i}]"),
     ("state-count", ("model", "states"), without_last, "states"),
     ("state-orders", ("model", "states", -1, "a"), lambda a, d: a + [0.0], "states"),
-    *[(f"initial-{name}", ("model", "initial_dist"), bad, "initial_dist")
-      for name, bad in [("length", lambda v, d: [1.0] * (state_count(d) + 1)),
-                        ("nan", lambda v, d: [NAN] * state_count(d)),
-                        ("sum", lambda v, d: [1.0] * state_count(d)),
-                        ("negative", lambda v, d: [-1.0, 2.0] + [0.0] * (state_count(d) - 2)),
-                        ("text", "uniform")]],
+    # the chain starts from its stationary law, and no key sets another start
+    ("initial-dist", ("model", "initial_dist"), [1.0], "unknown model keys: ['initial_dist']"),
     ("model-unknown-key", ("model", "order"), 2, "unknown model keys"),
     ("model-not-object", ("model",), [], "model"),
 ]

@@ -23,17 +23,7 @@ from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
 from hmmar.simplex_qp import solve_kkt
 
 import nonparametric_reference
-
-EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
-
-
-def example_model():
-    return SwitchingArModel(
-        transition=TransitionMatrix(EXAMPLE_P),
-        states=[ArStateParams(0.0, [0.3, 0.2], 0.1),
-                ArStateParams(0.5, [0.2, 0.3], 0.2),
-                ArStateParams(1.0, [0.1, 0.4], 0.1)],
-    )
+from example_model import EXAMPLE_P, example_model
 
 
 def separated_model(spread=50.0):
@@ -387,8 +377,7 @@ def test_true_predictive_in_nonparametric_update_equals_optimal_posterior():
 class TestNonparametricStep:
     def test_single_state_is_trivial(self):
         model = SwitchingArModel(TransitionMatrix([[1.0]]),
-                                 [ArStateParams(0.0, [0.2], 1.0)],
-                                 initial_dist=[1.0])
+                                 [ArStateParams(0.0, [0.2], 1.0)])
         traj = simulate(model, 100, burn_in=10, rng_seed=7)
         predictive, posterior, _ = nonparametric_step(traj.x, n=80, model=model, tau=2, l=1,
                                                       h=0.5)

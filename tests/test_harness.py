@@ -17,9 +17,8 @@ from hmmar.harness import (ConfigError, ExperimentConfig, config_from_dict,
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate)
 
+from example_model import EXAMPLE_P
 from regenerate_goldens import moved
-
-EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 
 
 def small_doc(**overrides):
@@ -139,9 +138,10 @@ class TestConfigParsing:
 
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_config(path)
+        for data in (b"{not json", b'\xff{"model": 1}', b"[" * 100_000):  # not UTF-8; too deep
+            path.write_bytes(data)
+            with pytest.raises(ConfigError, match="is not valid JSON"):
+                load_config(path)
 
     def test_override_revalidates(self):
         cfg = config_from_dict(small_doc())

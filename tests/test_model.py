@@ -17,21 +17,11 @@ from scipy.sparse.csgraph import connected_components
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, model_from_dict, simulate,
                          stationary_distribution)
+from example_model import EXAMPLE_P, example_model
 from simulate_reference import reference_simulate
 
-EXAMPLE_P = [[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.1, 0.05, 0.85]]
 # solved by hand from pi P = pi, sum(pi) = 1
 EXAMPLE_PI = np.array([5.0, 8.0, 6.0]) / 19.0
-
-
-def example_model(initial_dist=None):
-    return SwitchingArModel(
-        transition=TransitionMatrix(EXAMPLE_P),
-        states=[ArStateParams(0.0, [0.3, 0.2], 0.1),
-                ArStateParams(0.5, [0.2, 0.3], 0.2),
-                ArStateParams(1.0, [0.1, 0.4], 0.1)],
-        initial_dist=initial_dist,
-    )
 
 
 class TestTransitionMatrix:
@@ -100,15 +90,6 @@ class TestSwitchingArModel:
                              [ArStateParams(0.0, [0.1], 1.0),
                               ArStateParams(0.0, [0.1, 0.2], 1.0)])
 
-    def test_initial_dist_checked(self):
-        with pytest.raises(ValueError):
-            example_model(initial_dist=[0.5, 0.5, 0.1])
-
-    @pytest.mark.parametrize("q", [[np.nan] * 3, [np.nan, 0.5, 0.5]])
-    def test_initial_dist_rejects_nan(self, q):
-        with pytest.raises(ValueError, match="initial_dist"):
-            example_model(initial_dist=q)
-
 
 @pytest.mark.parametrize("name,build", [
     ("mu", lambda: ArStateParams("0.5", [0.1], 0.1)),
@@ -117,12 +98,7 @@ class TestSwitchingArModel:
     ("a", lambda: ArStateParams(0.5, [True, 0.1], 0.1)),
     ("transition", lambda: TransitionMatrix([["0.5", "0.5"], ["0.5", "0.5"]])),
     ("transition", lambda: TransitionMatrix([[True, False], [False, True]])),
-    ("initial_dist", lambda: SwitchingArModel(
-        TransitionMatrix([[0.5, 0.5], [0.5, 0.5]]),
-        [ArStateParams(0.0, [0.1], 0.1), ArStateParams(1.0, [0.1], 0.1)],
-        initial_dist=["0.5", "0.5"])),
-], ids=["mu-text", "b-bool", "a-text", "a-bool", "transition-text", "transition-bool",
-        "initial_dist-text"])
+], ids=["mu-text", "b-bool", "a-text", "a-bool", "transition-text", "transition-bool"])
 def test_constructors_reject_non_numbers(name, build):
     """The library types hold the document's number rule: no strings, no bools."""
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -292,12 +268,11 @@ PINNED_MODELS = {
     "two_state_p1": lambda: SwitchingArModel(
         TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
         [ArStateParams(0.0, [0.5], 0.3), ArStateParams(1.0, [-0.3], 0.5)]),
-    "four_state_initial": lambda: SwitchingArModel(
+    "four_state_p3": lambda: SwitchingArModel(
         TransitionMatrix([[0.7, 0.1, 0.1, 0.1], [0.0, 0.5, 0.5, 0.0],
                           [0.25, 0.25, 0.25, 0.25], [0.3, 0.0, 0.0, 0.7]]),
         [ArStateParams(0.0, [0.1, 0.2, 0.3], 0.1), ArStateParams(0.5, [0.2, 0.3, -0.1], 0.2),
-         ArStateParams(1.0, [0.1, 0.4, 0.0], 0.1), ArStateParams(-1.0, [0.0, 0.0, 0.5], 0.4)],
-        initial_dist=[0.0, 0.0, 1.0, 0.0]),
+         ArStateParams(1.0, [0.1, 0.4, 0.0], 0.1), ArStateParams(-1.0, [0.0, 0.0, 0.5], 0.4)]),
 }
 # (name, n, burn_in, seed, s_sha256, x_sha256): digests of s (little-endian int64) and x
 # (little-endian float64) of simulate(PINNED_MODELS[name](), n, burn_in, seed)
@@ -308,9 +283,9 @@ PINNED_RUNS = [
     ("two_state_p1", 3000, 0, 91,
      "4072258a26acb5b4e436bc0819bcf45dfc8cf4e3dc634a4d07f27d6dd71dfb71",
      "3a10a95d2ab7008500bbaab348d9cee84b4a8f4fd34b39ef8423a7ac8cef2547"),
-    ("four_state_initial", 4000, 20, 12345,
+    ("four_state_p3", 4000, 20, 12345,
      "8a99af5bd6ebd471baccbdd81d3da5a5209a573e6d690885802393b5710c0604",
-     "29059bd179d30a14e1500689a41de0b1b263991f04bdc77a2be08b1157fce700"),
+     "db43a653c4e94208d25bdb5dbb9ed773efc81cd8be97ebfce1f3fe43ad0a387a"),
 ]
 
 # Hashes simulate's (s, x) bytes for each pickled (model, n, burn_in, seed) read from stdin.
@@ -347,11 +322,18 @@ class TestSimulate:
         model = SwitchingArModel(
             TransitionMatrix([[1.0]]),
             [ArStateParams(0.0, [0.0], 1.0)],
-            initial_dist=[1.0],
         )
         n = 100_000
         traj = simulate(model, n, burn_in=0, rng_seed=3)
         assert abs(traj.x.mean()) < 3.0 / np.sqrt(n)
+
+    def test_first_state_follows_the_stationary_law(self):
+        # the chain's only start: S_1 over 4,000 seeds, within 4 binomial sds of each pi_m
+        model, seeds = example_model(), 4000
+        first = [simulate(model, 1, burn_in=0, rng_seed=s).s[0] for s in range(seeds)]
+        freq = np.bincount(first, minlength=4)[1:] / seeds
+        sd = np.sqrt(EXAMPLE_PI * (1.0 - EXAMPLE_PI) / seeds)
+        assert np.all(np.abs(freq - EXAMPLE_PI) <= 4.0 * sd), (freq, EXAMPLE_PI)
 
     def test_example_state_occupancy_near_stationary(self):
         traj = simulate(example_model(), 100_000, burn_in=100, rng_seed=7)
@@ -359,15 +341,10 @@ class TestSimulate:
         np.testing.assert_allclose(freq, EXAMPLE_PI, atol=0.02)
 
     def test_residuals_standard_normal_for_forced_state(self):
-        # rows of e_m force the chain to sit in state m = 2 forever
-        force = [[0.0, 1.0, 0.0]] * 3
-        model = SwitchingArModel(
-            TransitionMatrix(force),
-            states=example_model().states,
-            initial_dist=[0.0, 1.0, 0.0],
-        )
+        # a one-state chain sits in the example's state 2 forever
+        model = SwitchingArModel(TransitionMatrix([[1.0]]), states=[example_model().states[1]])
         traj = simulate(model, 100_000, burn_in=100, rng_seed=11)
-        assert np.all(traj.s == 2)
+        assert np.all(traj.s == 1)
         mu, a, b = 0.5, np.array([0.2, 0.3]), 0.2
         x = traj.x
         pred = mu + a[0] * (x[1:-1] - mu) + a[1] * (x[:-2] - mu)
@@ -385,16 +362,15 @@ class TestSimulate:
             np.testing.assert_array_equal(short.x, long_.x[:n])
 
     def test_matches_reference_loop_bit_for_bit(self):
-        # 240 random models: M 1-5, p 1-4, burn-in 0 and 100, with and without
-        # an initial distribution
+        # 240 random models: M 1-5, p 1-4, burn-in 0 and 100, each started from its
+        # stationary law
         rng = np.random.default_rng(2026)
         for case in range(240):
             M, p = case % 5 + 1, case // 5 % 4 + 1
             states = [ArStateParams(float(rng.normal()), (rng.uniform(-0.5, 0.5, p) / p).tolist(),
                                     float(rng.uniform(0.05, 1.0))) for _ in range(M)]
-            initial = rng.dirichlet(np.ones(M)).tolist() if case // 20 % 2 else None
             model = SwitchingArModel(TransitionMatrix(rng.dirichlet(np.ones(M), size=M).tolist()),
-                                     states, initial_dist=initial)
+                                     states)
             burn_in = 100 * (case // 40 % 2)
             got = simulate(model, 150, burn_in, case)
             want = reference_simulate(model, 150, burn_in, case)
@@ -484,13 +460,6 @@ class TestModelFromDict:
         model = model_from_dict(self.doc())
         assert model.M == 3
         assert model.ar_order == 2
-        assert model.initial_dist is None
-
-    def test_optional_initial_dist(self):
-        doc = self.doc()
-        doc["initial_dist"] = [0.2, 0.3, 0.5]
-        model = model_from_dict(doc)
-        np.testing.assert_allclose(model.initial_dist, [0.2, 0.3, 0.5])
 
     def test_unknown_top_level_key_rejected(self):
         doc = self.doc()
