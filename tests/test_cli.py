@@ -482,8 +482,14 @@ SPOILERS = [
     ("state-not-object", ("model", "states", -1), [1.0], "states[{i}]"),
     ("state-count", ("model", "states"), without_last, "states"),
     ("state-orders", ("model", "states", -1, "a"), lambda a, d: a + [0.0], "states"),
-    # the chain starts from its stationary law, and no key sets another start
-    ("initial-dist", ("model", "initial_dist"), [1.0], "unknown model keys: ['initial_dist']"),
+    # the chain starts from its stationary law, and no key sets another start:
+    # whatever its value, an initial_dist entry is refused as an unknown key
+    *[(f"initial-{name}", ("model", "initial_dist"), bad, "unknown model keys: ['initial_dist']")
+      for name, bad in [("length", lambda v, d: [1.0] * (state_count(d) + 1)),
+                        ("nan", lambda v, d: [NAN] * state_count(d)),
+                        ("sum", lambda v, d: [1.0] * state_count(d)),
+                        ("negative", lambda v, d: [-1.0, 2.0] + [0.0] * (state_count(d) - 2)),
+                        ("text", "uniform")]],
     ("model-unknown-key", ("model", "order"), 2, "unknown model keys"),
     ("model-not-object", ("model",), [], "model"),
 ]
