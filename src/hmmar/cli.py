@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .filters import MODES
 from .harness import ConfigError, load_config, run_experiment
 
 
@@ -22,11 +20,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a Monte-Carlo experiment")
     run_p.add_argument("--config", required=True, help="experiment config JSON")
-    run_p.add_argument("--seed", type=int, help="override base seed")
-    run_p.add_argument("--repeats", type=int, help="override repeat count")
-    run_p.add_argument("--mode", choices=MODES, help="override method selection")
-    run_p.add_argument("--tau", type=int, help="override conditioning lag")
-    run_p.add_argument("--stride", type=int, dest="l", help="override embedding stride l")
     run_p.add_argument("--out", default=None, help="directory for summary.csv (and traces)")
     run_p.add_argument("--trace", action="store_true", help="write per-repeat trace CSVs")
 
@@ -48,10 +41,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "validate":
             print(f"config ok: M={config.model.M}, n_total={config.n_total}, "
-                  f"eval_window={list(config.eval_window)}, mode={config.mode}")
+                  f"eval_window={list(config.eval_window)}, tau={config.tau}, l={config.l}, "
+                  f"repeats={config.repeats}, seed={config.seed}, burn_in={config.burn_in}, "
+                  f"mode={config.mode}")
             return 0
-        changes = {k: getattr(args, k) for k in ("seed", "repeats", "mode", "tau", "l")}
-        config = replace(config, **{k: v for k, v in changes.items() if v is not None})
         summary = run_experiment(config, out_dir=args.out, trace=args.trace)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ posterior P(S_n = . | x_1^n) second, so prediction never sees x_n.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -25,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import product_integral
 from .kde import _check_bandwidth, conditional_weights, embed, embedding_heads, ucv_bandwidth
-from .model import SwitchingArModel
+from .model import SwitchingArModel, _is_int
 from .simplex_qp import MAX_STATES, solve_kkt
 
 _SIMPLEX_TOL = 1e-10
@@ -43,10 +42,14 @@ def warmup_threshold(p: int, tau: int) -> int:
 
 
 def check_window(model: SwitchingArModel, tau: int, l: int, mode: str, lo: int, hi: int) -> None:
-    """A ValueError unless ``mode`` is in :data:`MODES` and steps lo <= hi of ``model``'s series
-    suit it: lo must exceed :func:`warmup_threshold` if the nonparametric filter runs, else the AR
-    order p, and that filter, h pinned or not, needs M <= :data:`~hmmar.simplex_qp.MAX_STATES`
-    and two delay vectors of dimension tau + 1, stride l, in x_1^hi."""
+    """A ValueError unless tau, l and lo are integers >= 1 (not bools), ``mode`` is in
+    :data:`MODES` and steps lo <= hi of ``model``'s series suit it: lo must exceed
+    :func:`warmup_threshold` if the nonparametric filter runs, else the AR order p, and that
+    filter, h pinned or not, needs M <= :data:`~hmmar.simplex_qp.MAX_STATES` and two delay
+    vectors of dimension tau + 1, stride l, in x_1^hi."""
+    for name, value in (("tau", tau), ("l", l), ("eval_start", lo)):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     p, M = model.ar_order, model.M
@@ -212,7 +215,7 @@ class FilterRun:
 
     def __post_init__(self):
         start = self.eval_start
-        if not (isinstance(start, numbers.Integral) and not isinstance(start, bool) and start >= 1):
+        if not (_is_int(start) and start >= 1):
             raise ValueError(f"eval_start must be an integer >= 1, got {start!r}")
         if self.optimal_posterior is None and self.nonparametric_posterior is None:
             raise ValueError("a FilterRun must hold the arrays of at least one method")

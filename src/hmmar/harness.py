@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import FilterRun, SeriesError, check_window, run_filters
-from .model import SwitchingArModel, Trajectory, check_fields, model_from_dict, simulate
+from .model import SwitchingArModel, Trajectory, _is_int, check_fields, model_from_dict, simulate
 
 #: (method, task, FilterRun field scored) of each summary row, in output order.  A
 #: row's per-repeat key is f"{method}_{task}", its ErrorSummary field f"{task}_error_{method}".
@@ -38,17 +38,12 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
 #: Observations per lockstep block (_BLOCK_MIN repeats at least); more outgrows UCV's memory peak.
 _BLOCK_OBS, _BLOCK_MIN = 1 << 11, 4
 
-#: Lowest allowed value of each integer field of ExperimentConfig.
-_INT_FLOORS = {"n_total": 1, "tau": 1, "l": 1, "repeats": 1, "seed": 0, "burn_in": 0}
+#: Lowest allowed value of each integer field of ExperimentConfig; check_window owns tau and l.
+_INT_FLOORS = {"n_total": 1, "repeats": 1, "seed": 0, "burn_in": 0}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the failing field."""
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (bool subclasses int; `true` is no count)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -66,10 +61,6 @@ class ExperimentConfig:
     mode: str = "both"
 
     def __post_init__(self):
-        try:
-            self.model.stationary  # cached on the model; a reducible chain fails here
-        except ValueError as exc:
-            raise ConfigError(f"model: transition: {exc}") from exc
         for name, lowest in _INT_FLOORS.items():
             value = getattr(self, name)
             if not _is_int(value):

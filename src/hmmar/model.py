@@ -13,7 +13,6 @@ from __future__ import annotations
 import numbers
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +23,11 @@ def _is_number(value) -> bool:
     """True for a finite real that a float holds, not a bool (`true` is no coefficient)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and abs(value) <= np.finfo(float).max.item()
+
+
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (bool subclasses int; `true` is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _number_array(value, name: str) -> np.ndarray:
@@ -90,7 +94,8 @@ class ArStateParams:
 
 @dataclass(eq=False)
 class SwitchingArModel:
-    """Hidden chain, started from its stationary law, plus one ArStateParams per state."""
+    """Hidden chain, started from its stationary law ``stationary`` (read-only, computed when
+    built; a reducible chain is refused), plus one ArStateParams per state."""
 
     transition: TransitionMatrix
     states: list[ArStateParams]
@@ -110,6 +115,11 @@ class SwitchingArModel:
         self.b = np.array([st.b for st in self.states])
         self.b2 = self.b ** 2
         self._a_mu = self.a.sum(axis=1) * self.mu
+        try:  # simulate and both filters start here, so every model that exists can start
+            self.stationary = stationary_distribution(self.transition)
+        except ValueError as exc:
+            raise ValueError(f"transition: {exc}") from None
+        self.stationary.setflags(write=False)
 
     @property
     def M(self) -> int:
@@ -118,13 +128,6 @@ class SwitchingArModel:
     @property
     def ar_order(self) -> int:
         return self.states[0].p
-
-    @cached_property
-    def stationary(self) -> np.ndarray:
-        """Read-only :func:`stationary_distribution` of the chain, computed once."""
-        pi = stationary_distribution(self.transition)
-        pi.setflags(write=False)
-        return pi
 
     def ar_means(self, history: np.ndarray) -> np.ndarray:
         """AR conditional mean mu + sum_i a_i (x[n-i] - mu) of every state.
@@ -201,10 +204,10 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
     The p pre-sample observations are pinned to mu(S_1) and the first
     ``burn_in`` steps are discarded.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (_is_int(burn_in) and burn_in >= 0):
+        raise ValueError(f"burn_in must be an integer >= 0, got {burn_in!r}")
 
     chain_seq, noise_seq = np.random.SeedSequence(rng_seed).spawn(2)
     rng_chain = np.random.default_rng(chain_seq)

@@ -54,6 +54,14 @@ def test_validate_ok(config_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
+def test_validate_states_the_whole_run(capsys):
+    # the config file is the run's only description, so validate prints every field run uses
+    assert main(["validate", "--config", example_config_path()]) == 0
+    assert capsys.readouterr().out == (
+        "config ok: M=3, n_total=600, eval_window=[501, 600], tau=2, l=1, repeats=50, "
+        "seed=0, burn_in=100, mode=both\n")
+
+
 def test_validate_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n_total": 5}')
@@ -83,14 +91,16 @@ def test_non_finite_model_parameter_exits_2(config_path, capsys):
 def test_underflowing_noise_scale_exits_2(config_path, capsys):
     # b = 1e-200 is positive, but b^2 underflows to a zero emission variance
     edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e-200))
-    assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
+    edit_config(config_path, lambda doc: doc.update(repeats=1))
+    assert main(["run", "--config", config_path]) == 2
     assert "config error: model: states[0].b must have a nonzero square" in capsys.readouterr().err
 
 
 def test_overflowing_noise_scale_exits_2(config_path, capsys):
     # b = 1e160 squares to inf; the run used to exit 3 on the NaN series it simulated
     edit_config(config_path, lambda doc: doc["model"]["states"][0].update(b=1e160))
-    assert main(["run", "--config", config_path, "--repeats", "1"]) == 2
+    edit_config(config_path, lambda doc: doc.update(repeats=1))
+    assert main(["run", "--config", config_path]) == 2
     assert "config error: model: states[0].b must have a nonzero square that is finite" \
         in capsys.readouterr().err
 
@@ -109,23 +119,25 @@ def test_overflowing_series_exits_2(tmp_path, states, mode, code, prefix):
     # Each parameter is finite, so validate passes; only the simulated series can
     # show that the filters' arithmetic would overflow.
     doc = json.loads(Path(example_config_path()).read_text())
-    doc["repeats"] = 3
+    doc.update(repeats=3, mode=mode)
     for i, change in states.items():
         doc["model"]["states"][i].update(change)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert run_cli(["validate", "--config", str(path)])[0] == 0
-    result, err = run_cli(["run", "--config", str(path), "--mode", mode])
+    result, err = run_cli(["run", "--config", str(path)])
     assert result == code, err
     if code == 2:
         assert err.startswith(f"config error: model: the series of {prefix}"), err
 
 
-def example_with(tmp_path, edit) -> str:
-    """Path of the bundled example config after ``edit(doc)``, with 2 repeats."""
+def example_with(tmp_path, edit, **fields) -> str:
+    """Path of the bundled example config after ``edit(doc)`` and ``doc.update(fields)``,
+    with 2 repeats unless ``fields`` sets them."""
     doc = json.loads(Path(example_config_path()).read_text())
     doc["repeats"] = 2
     edit(doc)
+    doc.update(fields)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -170,9 +182,9 @@ def constant_series(doc):
 ], ids=["tiny-both", "tiny-nonparametric", "tiny-optimal", "1e-100-both",
         "1e-100-nonparametric", "1e-90-both"])
 def test_underflowing_series_exits_2(tmp_path, edit, mode, code):
-    path = example_with(tmp_path, edit)
+    path = example_with(tmp_path, edit, mode=mode)
     assert run_without_warnings(["validate", "--config", path])[0] == 0
-    result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
+    result, err = run_without_warnings(["run", "--config", path])
     assert result == code, err
     if code == 2:
         assert err.startswith("config error: model: the series of seed 0: h_plus "), err
@@ -194,8 +206,8 @@ def test_example_scaled_by_a_power_of_two(tmp_path, k, code):
 @pytest.mark.parametrize("mode,code", [("both", 2), ("nonparametric", 2), ("optimal", 0)])
 def test_constant_series_exits_2(tmp_path, mode, code):
     # exited 3 with UCV's "degenerate sample"; the optimal filter needs no spread
-    path = example_with(tmp_path, constant_series)
-    result, err = run_without_warnings(["run", "--config", path, "--mode", mode])
+    path = example_with(tmp_path, constant_series, mode=mode)
+    result, err = run_without_warnings(["run", "--config", path])
     assert result == code, err
     if code == 2:
         assert err.rstrip() == ("config error: model: the series of seed 0: "
@@ -255,7 +267,9 @@ def test_optimal_only_window_starts_past_the_ar_order(tmp_path, start):
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [["optimal", "filtering"],
                                                         ["optimal", "prediction"]]
-        assert run_cli(["run", "--config", path, "--mode", "both"]) == (
+        path = example_with(tmp_path, lambda doc: doc.update(mode="both",
+                                                             eval_window=[start, 600]))
+        assert run_cli(["run", "--config", path]) == (
             2, f"config error: eval_window start {start} must exceed the warm-up threshold 23\n")
 
 
@@ -326,25 +340,6 @@ def test_run_writes_summary(config_path, tmp_path, capsys):
     assert "mean_error" in capsys.readouterr().out
 
 
-def test_run_overrides(config_path, tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", "--config", config_path, "--out", str(out),
-                 "--repeats", "1", "--mode", "optimal"]) == 0
-    lines = (out / "summary.csv").read_text().splitlines()
-    assert len(lines) == 3  # header + optimal filtering/prediction only
-    assert all(line.endswith(",1") for line in lines[1:])
-
-
-@pytest.mark.parametrize("flag,value,message", [
-    ("--stride", "98", "l = 98 leaves fewer than two delay vectors"),
-    ("--tau", "60", "eval_window start 61 must exceed the warm-up threshold"),
-    ("--seed", "-1", "seed must be >= 0"),
-])
-def test_run_override_flags_reach_the_config(config_path, capsys, flag, value, message):
-    assert main(["run", "--config", config_path, flag, value]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-
-
 def test_run_with_traces(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", config_path, "--out", str(out), "--trace"]) == 0
@@ -363,10 +358,14 @@ def test_runtime_failure_exits_3(config_path, tmp_path):
     assert main(["run", "--config", config_path, "--out", str(blocker / "x")]) == 3
 
 
-def test_bad_mode_flag_is_usage_error(config_path):
+@pytest.mark.parametrize("flag,value", [("--seed", "7"), ("--repeats", "10"),
+                                        ("--mode", "optimal"), ("--tau", "3"), ("--stride", "2")])
+def test_removed_override_flags_are_usage_errors(config_path, flag, value, capsys):
+    # the config file is the run's whole description: no flag changes a field of it
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", config_path, "--mode", "wrong"])
+        main(["run", "--config", config_path, flag, value])
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -811,6 +811,17 @@ def test_block_of_another_shape_is_refused(x, message):
         run_filters(x, example_model(), eval_start=61)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["tau", "l", "eval_start"])
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "text"])
+def test_window_arguments_must_be_integers(mode, name, value):
+    # tau = True ran as tau = 1, and a float met numpy's TypeError, not a message naming it
+    args = {"tau": 2, "l": 1, "eval_start": 61, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, "
+                                                   f"got {value!r}")):
+        run_filters([np.sin(np.arange(150.0))], example_model(), mode=mode, **args)
+
+
 def test_single_state_step_is_the_qp_and_flags_a_c_below_the_floor():
     # M = 1 goes through solve_kkt like any M: u = [1], and with b = 3e11 the one entry
     # of C, 1 / sqrt(4 pi b^2), is below the definiteness floor, so the step falls back

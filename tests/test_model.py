@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -223,11 +224,11 @@ class TestStationaryDistribution:
         assert not pi.flags.writeable
 
     def test_reducible_chain_rejected_through_model(self):
+        # refused when built, not later in simulate: every model that exists can be started
         same = ArStateParams(0.0, [0.1], 1.0)
-        model = SwitchingArModel(TransitionMatrix(np.eye(2)), [same, same])
-        for _ in range(2):  # a failure is not cached
-            with pytest.raises(ValueError, match="reducible"):
-                simulate(model, 10)
+        with pytest.raises(ValueError, match="^transition: chain is reducible: some state "
+                                             "cannot reach another$"):
+            SwitchingArModel(TransitionMatrix(np.eye(2)), [same, same])
 
     @staticmethod
     def support_patterns(M):
@@ -381,6 +382,15 @@ class TestSimulate:
             simulate(example_model(), 0)
         with pytest.raises(ValueError):
             simulate(example_model(), 10, burn_in=-1)
+
+    @pytest.mark.parametrize("name,lowest", [("n", 1), ("burn_in", 0)])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "text"])
+    def test_rejects_sizes_that_are_not_integers(self, name, lowest, value):
+        # n = True drew a one-step trajectory, and a float met numpy's TypeError
+        sizes = {"n": 10, "burn_in": 5, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {lowest}, "
+                                                       f"got {value!r}")):
+            simulate(example_model(), **sizes)
 
     @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256",
                              [pytest.param(*run, id=run[0]) for run in PINNED_RUNS])
