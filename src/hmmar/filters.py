@@ -16,7 +16,7 @@ posterior P(S_n = . | x_1^n) second, so prediction never sees x_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 from typing import Optional
 
 import numpy as np
@@ -246,7 +246,8 @@ def run_filters(x, model: SwitchingArModel, tau: int = 2, l: int = 1, *, eval_st
     buffer over steps p + 1 .. n holds in turn the AR means, read by the nonparametric
     prediction pass (one :func:`emission_mixture_problem` and R QPs per step); their
     log-emissions, made in place for the Bayes updates; and the optimal posteriors, from the
-    stationary distribution at n = p + 1 on.  Steps eval_start .. n must pass
+    stationary distribution at n = p + 1 on; the optimal predictives before eval_start share
+    one (R, M) scratch row.  Steps eval_start .. n must pass
     :func:`check_window`.  If ``h`` is None, UCV selects it per series on the delay embedding
     (dimension tau + 1, stride l) of its whole series; a float 0 < h < inf pins it.  Each series
     in turn must stay in the filters' float range, then in UCV's if UCV runs; the first that
@@ -300,12 +301,12 @@ def run_filters(x, model: SwitchingArModel, tau: int = 2, l: int = 1, *, eval_st
         if mode != "optimal":
             npar_post = _bayes_update(log_f[k0:], npar_pred, np.empty_like(npar_pred))
         if mode != "nonparametric":
-            opt_pred = np.empty_like(log_f)
-            trans = model.transition.p
+            opt_pred, trans = np.empty((T, R, M)), model.transition.p
             posterior = np.broadcast_to(model.stationary, (R, M))
-            for log_f_n, pred_n in zip(log_f, opt_pred):  # each posterior over its log_f row
+            preds = chain(repeat(np.empty((R, M)), k0), opt_pred)  # one scratch row before lo
+            for log_f_n, pred_n in zip(log_f, preds):  # each posterior over its log_f row
                 posterior = _bayes_update(log_f_n, _predict(posterior, trans, pred_n), log_f_n)
-            opt_pred, opt_post = opt_pred[k0:], log_f[k0:]
+            opt_post = log_f[k0:]
 
     arrays = (opt_pred, opt_post, npar_pred, npar_post)
     return [FilterRun(eval_start, fallback[r], *(None if v is None else v[:, r] for v in arrays))

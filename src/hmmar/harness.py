@@ -7,10 +7,12 @@ filtering and one-step prediction.  Only these scores leave a block of
 repeats: their mean and standard error across repeats go to ``summary.csv``,
 and the per-step data only to the plot-ready ``trace_<r>.csv`` files.
 
-Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS``
-observations or ``_BLOCK_MIN`` repeats, whichever is more; set HMMAR_THREADS to
-run blocks in parallel (0 = one worker per CPU).  Aggregation order is fixed by
-repeat index, so output files are byte-identical regardless of blocking and parallelism.
+Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS`` observations,
+``_BLOCK_MIN`` repeats or, in a run that fits UCV, as many repeats as keep a block's arrays
+well under one fit's pairwise distances, whichever is most; the blocks are of equal size, and
+their count is a multiple of the workers.  Set HMMAR_THREADS to run blocks in parallel (0 = one
+worker per CPU).  Aggregation order is fixed by repeat index, so output files are
+byte-identical regardless of blocking and parallelism.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
          ("nonparametric", "filtering", "nonparametric_posterior"),
          ("nonparametric", "prediction", "nonparametric_predictive"))
 
-#: Observations per lockstep block (_BLOCK_MIN repeats at least); more outgrows UCV's memory peak.
-_BLOCK_OBS, _BLOCK_MIN = 1 << 11, 4
+#: Observations per lockstep block (_BLOCK_MIN repeats at least); in a run that fits UCV, also
+#: hi // (_BLOCK_UCV * M) repeats of hi steps.  With at most 5 M floats per repeat and step, a
+#: block's arrays take under half of one fit's hi^2 / 2 pairwise distances; wider raises peak RSS.
+_BLOCK_OBS, _BLOCK_MIN, _BLOCK_UCV = 1 << 11, 4, 20
 
 #: Lowest allowed value of each integer field of ExperimentConfig; check_window owns tau and l.
 _INT_FLOORS = {"n_total": 1, "repeats": 1, "seed": 0, "burn_in": 0}
@@ -202,11 +206,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False) 
         out_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = str(out_dir) if trace else None
 
-    workers = _worker_count(config.repeats)
-    # repeats per block: the observation budget's share, but a block for every worker
-    size = min(max(_BLOCK_MIN, _BLOCK_OBS // config.eval_window[1]), -(-config.repeats // workers))
-    tasks = [(config, range(a, min(a + size, config.repeats)), trace_dir)
-             for a in range(0, config.repeats, size)]
+    workers, hi, repeats = _worker_count(config.repeats), config.eval_window[1], config.repeats
+    # repeats per block: the observation budget's share, or UCV's if more; then as many blocks,
+    # rounded up to a multiple of the workers, of equal size
+    ucv = hi // (_BLOCK_UCV * config.model.M) if config.mode != "optimal" else 0
+    blocks = -(-repeats // max(_BLOCK_MIN, _BLOCK_OBS // hi, ucv))
+    size = -(-repeats // (blocks + -blocks % workers))
+    tasks = [(config, range(a, min(a + size, repeats)), trace_dir) for a in range(0, repeats, size)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -208,6 +208,8 @@ def simulate(model: SwitchingArModel, n: int, burn_in: int = 100,
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (_is_int(burn_in) and burn_in >= 0):
         raise ValueError(f"burn_in must be an integer >= 0, got {burn_in!r}")
+    if not (_is_int(rng_seed) and rng_seed >= 0):
+        raise ValueError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
 
     chain_seq, noise_seq = np.random.SeedSequence(rng_seed).spawn(2)
     rng_chain = np.random.default_rng(chain_seq)

@@ -14,6 +14,7 @@ from hmmar.filters import FilterRun, run_filters
 from hmmar.harness import (ConfigError, ExperimentConfig, config_from_dict,
                            emit_trace, example_config, load_config,
                            run_experiment, write_summary)
+from hmmar.kde import embed, ucv_bandwidth
 from hmmar.model import (ArStateParams, SwitchingArModel, Trajectory,
                          TransitionMatrix, simulate)
 
@@ -433,6 +434,7 @@ def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
 
     monkeypatch.setattr(harness, "_BLOCK_OBS", 1)
     monkeypatch.setattr(harness, "_BLOCK_MIN", 2)
+    monkeypatch.setattr(harness, "_BLOCK_UCV", 1 << 20)  # UCV's width 0 at any length
     monkeypatch.setattr(harness, "run_filters", counted)
     assert moved(name, GOLDEN_DIGESTS) == []
     assert sizes == {2: [2], 3: [2, 1]}[load_config(DATA / f"{name}.json").repeats]
@@ -458,24 +460,85 @@ def test_golden_summaries_hold_under_other_kernels():
                              for line in lines), (setting, lines)
 
 
-@pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [4] * 12 + [2]),
-                                                  (250, 120, [8] * 15),
-                                                  (10_000, 10, [4, 4, 2])])
-def test_block_partition(steps, repeats, sizes, monkeypatch):
-    # about 2,048 observations per serial block, and 4 repeats at least
+def block_sizes(cfg, monkeypatch, workers=1):
+    """Sizes of the blocks ``run_experiment(cfg)`` hands out to ``workers`` workers, in order.
+
+    A stand-in pool runs the blocks here, and a stand-in block only counts its repeats."""
+    import concurrent.futures
     import hmmar.harness as harness
     seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
 
     def fake_block(task):
         seen.append(len(task[1]))
         return [{"qp_fallback": 0} for _ in task[1]]
 
-    monkeypatch.delenv("HMMAR_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: workers)
+    monkeypatch.setenv("HMMAR_THREADS", str(workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness, "_run_block", fake_block)
+    run_experiment(cfg)
+    return seen
+
+
+@pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [4] * 12 + [2]),
+                                                  (250, 120, [8] * 15),
+                                                  (10_000, 10, [4, 4, 2])])
+def test_block_partition(steps, repeats, sizes, monkeypatch):
+    # about 2,048 observations per serial block, and 4 repeats at least
     cfg = replace(example_config(), n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
                   repeats=repeats, mode="optimal")
-    run_experiment(cfg)
-    assert seen == sizes
+    assert block_sizes(cfg, monkeypatch) == sizes
+
+
+@pytest.mark.parametrize("steps,repeats,mode,workers,sizes", [
+    (600, 50, "both", 1, [10] * 5),
+    (250, 120, "nonparametric", 1, [8] * 15),
+    (600, 50, "both", 2, [9] * 5 + [5]),
+    (600, 10, "both", 2, [5, 5]),
+])
+def test_ucv_block_partition(steps, repeats, mode, workers, sizes, monkeypatch):
+    # a run that fits UCV may also take steps // 60 repeats at M = 3 states; the blocks are of
+    # equal size, and their count is a multiple of the workers
+    cfg = replace(example_config(), n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
+                  repeats=repeats, mode=mode)
+    assert block_sizes(cfg, monkeypatch, workers) == sizes
+
+
+@pytest.mark.parametrize("steps", [600, 250])
+def test_widest_ucv_block_stays_under_one_fit(steps, monkeypatch):
+    # the widest block of a UCV run on the example model, with h pinned, peaks below one UCV
+    # fit on one of its series (tracemalloc): the run's largest arrays stay the fit's
+    import tracemalloc
+    cfg = replace(example_config(), n_total=steps, eval_window=(steps - 99, steps), repeats=1000)
+    width = max(block_sizes(cfg, monkeypatch))
+    xs = [simulate(cfg.model, steps, cfg.burn_in, seed).x for seed in range(width)]
+    sample = embed(xs[0], d=cfg.tau + 1, l=cfg.l)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fit = peak(lambda: ucv_bandwidth(sample))
+    block = peak(lambda: run_filters(xs, cfg.model, cfg.tau, cfg.l, eval_start=cfg.eval_window[0],
+                                     h=0.05, mode=cfg.mode))
+    assert block < fit, (width, block, fit)
 
 
 def test_block_of_unequal_lengths_rejected():

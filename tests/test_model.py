@@ -392,6 +392,13 @@ class TestSimulate:
                                                        f"got {value!r}")):
             simulate(example_model(), **sizes)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1], ids=["bool", "float", "text", "negative"])
+    def test_rejects_a_seed_that_is_no_integer_from_zero(self, seed):
+        # True ran as seed 1; 2.5 and "3" met numpy's TypeError, -1 an error naming no argument
+        with pytest.raises(ValueError, match=re.escape(f"rng_seed must be an integer >= 0, "
+                                                       f"got {seed!r}")):
+            simulate(example_model(), 10, rng_seed=seed)
+
     @pytest.mark.parametrize("name,n,burn_in,seed,s_sha256,x_sha256",
                              [pytest.param(*run, id=run[0]) for run in PINNED_RUNS])
     def test_trajectory_bytes_are_pinned(self, name, n, burn_in, seed, s_sha256, x_sha256):
