@@ -8,10 +8,10 @@ repeats: their mean and standard error across repeats go to ``summary.csv``,
 and the per-step data only to the plot-ready ``trace_<r>.csv`` files.
 
 Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS`` observations,
-``_BLOCK_MIN`` repeats or, in a run that fits UCV, as many repeats as keep a block's arrays
-well under one fit's pairwise distances, whichever is most; the blocks are of equal size, and
-their count is a multiple of the workers.  Set HMMAR_THREADS to run blocks in parallel (0 = one
-worker per CPU).  Aggregation order is fixed by repeat index, so output files are
+``_BLOCK_MIN`` repeats or, in a run that fits UCV, as many repeats as kept a block's arrays
+under one fit's peak memory where measured, whichever is most; the blocks are of equal size,
+and their count is a multiple of the workers.  Set HMMAR_THREADS to run blocks in parallel
+(0 = one worker per CPU).  Aggregation order is fixed by repeat index, so output files are
 byte-identical regardless of blocking and parallelism.
 """
 
@@ -38,8 +38,9 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
          ("nonparametric", "prediction", "nonparametric_predictive"))
 
 #: Observations per lockstep block (_BLOCK_MIN repeats at least); in a run that fits UCV, also
-#: hi // (_BLOCK_UCV * M) repeats of hi steps.  With at most 5 M floats per repeat and step, a
-#: block's arrays take under half of one fit's hi^2 / 2 pairwise distances; wider raises peak RSS.
+#: hi // (_BLOCK_UCV * M) repeats of hi steps.  Measured (tracemalloc, example model, h pinned),
+#: such a block peaks at 0.25 MiB at 250 steps and 0.51 MiB at 600, under one UCV fit's 0.62 and
+#: 0.65 MiB; wider raised peak RSS.  The fit's peak no longer grows with hi, the block's does.
 _BLOCK_OBS, _BLOCK_MIN, _BLOCK_UCV = 1 << 11, 4, 20
 
 #: Lowest allowed value of each integer field of ExperimentConfig; check_window owns tau and l.

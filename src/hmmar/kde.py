@@ -5,9 +5,10 @@ A scalar series x_1, ..., x_n is mapped to N = 1 + floor((n - d) / l) vectors
     Y_i = (x_{(i-1)l + 1}, ..., x_{(i-1)l + d}),      i = 1, ..., N
 
 (1-based indices).  A normal kernel with covariance h^2 I_d sits on each Y_i; h minimizes
-the unbiased cross-validation score over (0, h_plus], h_plus the oversmoothed bound.  The
-score runs over pairwise distances sorted once, skips pairs whose kernel is exactly 0.0 and
-takes one exp per other pair, where a bound at one exp per 16 pairs cannot rule it out.
+the unbiased cross-validation score over (0, h_plus], h_plus the oversmoothed bound, scored
+on a fixed log lattice of the pairs' squared distances, as binned kernel estimators are (Scott
+& Sheather 1985; Wand 1994).  The lattice, built once per sample from blocks of pairs, costs
+a score one exp per occupied point, and a fit's memory does not grow with the N^2 / 2 pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -25,11 +26,8 @@ _GRID_POINTS = 32
 _GRID_BOTTOM = 1e-6  # lowest h of that grid, as a fraction of h_plus
 #: Cap on the score evaluations of the Brent refinement.
 _MAX_ITER = 200
-#: Rows per block of EmbeddedSample.sorted_sq_dists.
-_DIST_BLOCK = 16
-#: Largest leaf of the UCV score's sums, the length of its one buffer.
-_LEAF = 1 << 16
-_RUN = 16  # sorted pairs per run of the UCV score's lower bound, which takes one exp per run
+_SHIFT = 52 - 6  # low mantissa bits that a lattice point clears: 2^6 points per octave
+_PAIR_BLOCK = 1 << 14  # pairs per block of squared distances, a few rows against all later
 
 
 @dataclass(eq=False)
@@ -53,29 +51,10 @@ class EmbeddedSample:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    @cached_property
-    def sorted_sq_dists(self) -> np.ndarray:
-        """Ascending condensed pairwise squared distances (i < j), computed once.
-
-        Summed one coordinate at a time, as scipy's sqeuclidean ``pdist`` does,
-        so every distance has its bits; blocks of rows bound the temporaries.
-        """
-        v, N = self.vectors, self.N
-        out, k = np.empty(N * (N - 1) // 2), 0
-        for a in range(0, N - 1, _DIST_BLOCK):
-            block = np.square(v[a:a + _DIST_BLOCK, 0, None] - v[a + 1:, 0])
-            for j in range(1, self.d):
-                block += np.square(v[a:a + _DIST_BLOCK, j, None] - v[a + 1:, j])
-            for r, row in enumerate(block):  # row a + r keeps its pairs with rows > a + r
-                out[k:k + row.size - r] = row[r:]
-                k += row.size - r
-        out.sort()
-        return out
-
 
 def _check_bandwidth(h: float | np.ndarray) -> None:
-    """A ValueError unless 0 < h < inf: a scalar, or every entry of a block's (R, 1) h."""
-    if not np.logical_and(0.0 < h, h < math.inf).all():
+    """A ValueError unless 0 < h < inf, a number but no bool: a scalar, or a block's (R, 1) h."""
+    if (a := np.asarray(h)).dtype.kind not in "iuf" or not ((0 < a) & (a < math.inf)).all():
         raise ValueError(f"h must be positive and finite, got {h}")
 
 
@@ -97,37 +76,83 @@ def embed(x: np.ndarray, d: int, l: int = 1) -> EmbeddedSample:
     return EmbeddedSample(vectors=np.stack(_delay_columns(x, x.shape[0], d, l, range(d)), axis=1))
 
 
-def _exp_sums(sq: np.ndarray, four_h2: float, buf: np.ndarray) -> tuple[float, float]:
-    """Sums of e = exp(-sq / 4h^2) and of e^2 through leaves in ``buf``, bit-equal
-    to numpy's ``sum`` of the whole arrays, whose pairwise splits they follow."""
-    n = sq.size
-    if n <= _LEAF:
-        e = np.divide(sq, -four_h2, out=buf[:n])
-        first = float(np.exp(e, out=e).sum())
-        return first, float(np.square(e, out=e).sum())
-    half = n // 2 - n // 2 % 8
-    a1, a2 = _exp_sums(sq[:half], four_h2, buf)
-    b1, b2 = _exp_sums(sq[half:], four_h2, buf)
-    return a1 + b1, a2 + b2
+def _sq_dist_blocks(vectors: np.ndarray):
+    """New arrays of the positive squared distances of the pairs i < j, in ``pdist``'s order
+    and blocks of about ``_PAIR_BLOCK`` pairs, summed one coordinate at a time as its sqeuclidean
+    metric does, so each has its bits.  Each pair at distance 0 adds 1 to both UCV sums."""
+    N, d = vectors.shape
+    a = 0
+    while a < N - 1:
+        b = min(a + max(1, _PAIR_BLOCK // (N - 1 - a)), N - 1)  # rows a..b-1, columns a+1..N-1
+        s = np.square(vectors[a:b, 0, None] - vectors[a + 1:, 0])
+        for j in range(1, d):
+            s += np.square(vectors[a:b, j, None] - vectors[a + 1:, j])
+        # row a + r keeps its pairs with the rows after it; rebinding s frees the full block
+        s = s[(np.arange(s.shape[1]) >= np.arange(b - a)[:, None]) & (s > 0.0)]
+        yield s
+        a = b
+
+
+def _ucv_score(N: int, d: int, h: float, first: float, second: float) -> float:
+    """UCV score of h from the sums of exp(-s / 4h^2) and exp(-s / 2h^2) over the pairs' s."""
+    # Each unordered pair appears twice in the double sum.
+    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
+    lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
+    return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
 
 
 def ucv_objective(sample: EmbeddedSample, h: float) -> float:
-    """Unbiased cross-validation score of the scalar bandwidth h."""
+    """Unbiased cross-validation score of the scalar bandwidth h, exact: one exp per pair."""
     if sample.N < 2:
         raise ValueError("UCV needs at least two embedded vectors")
     _check_bandwidth(h)
     N, d, (lo, hi) = sample.N, sample.d, _ucv_range(sample.N, sample.d)
     if not lo <= h <= hi:
         raise ValueError(f"h {h:.3g} is outside [{lo:.3g}, {hi:.3g}], UCV's float range")
-    sq_dists = sample.sorted_sq_dists
-    four_h2 = 4.0 * h * h
-    # exp(-t) == 0.0 exactly for t >= 746, so only the prefix s < 746 * 4h^2 counts.
-    live = sq_dists[:np.searchsorted(sq_dists, 746.0 * four_h2)]
-    first, second = _exp_sums(live, four_h2, np.empty(min(live.size, _LEAF)))
-    # exp(-s/2h^2) = exp(-s/4h^2)^2; each unordered pair appears twice in the double sum.
-    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
-    lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
-    return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
+    four_h2, zeros, first, second = 4.0 * h * h, N * (N - 1) // 2, 0.0, 0.0
+    for s in _sq_dist_blocks(sample.vectors):
+        zeros -= s.size
+        e = np.exp(np.divide(s, -four_h2, out=s), out=s)
+        first += float(e.sum())
+        second += float(np.square(e, out=e).sum())  # exp(-s/2h^2) = exp(-s/4h^2)^2
+    return _ucv_score(N, d, h, zeros + first, zeros + second)
+
+
+def _pair_lattice(sample: EmbeddedSample) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the pairs' squared distances on the log lattice: 0.0 and the floats
+    whose low ``_SHIFT`` bits are 0, those with a weight.  A pair at distance 0 weighs 1 on 0.0;
+    a squared distance s > 0 lies between the point with the bits of s above ``_SHIFT`` and the
+    next, a fraction t of the way, weighs 1 - t on the first and t on the second.  t holds the
+    low bits of s, so it is exact, and scaling s by 4^k scales its points and leaves t."""
+    lo, counts, fracs = 0, np.zeros(0, np.int64), np.zeros(0)
+    for s in _sq_dist_blocks(sample.vectors):
+        if not s.size:
+            continue
+        bits = s.view(np.int64)
+        idx = bits >> _SHIFT  # increasing with s, as the bits of positive floats are
+        a, b = int(idx.min()), int(idx.max()) + 2  # the span [a, b) holds each bin's next point
+        lo = lo if counts.size else a
+        if a < lo or b > lo + counts.size:  # widen the span
+            pad = (max(lo - a, 0), max(b - lo - counts.size, 0))
+            counts, fracs, lo = np.pad(counts, pad), np.pad(fracs, pad), lo - pad[0]
+        idx -= a
+        n = np.bincount(idx)
+        counts[a - lo:a - lo + n.size] += n
+        # 1 + t / 2^6 has the bits of 1.0 with the low bits of s, so t comes out exact, in place
+        np.bitwise_or(np.bitwise_and(bits, (1 << _SHIFT) - 1, out=bits), 0x3FF << 52, out=bits)
+        t = np.multiply(np.subtract(s, 1.0, out=s), 1 << (52 - _SHIFT), out=s)
+        f = np.bincount(idx, weights=t)
+        fracs[a - lo:a - lo + f.size] += f
+    weights = np.concatenate(([sample.N * (sample.N - 1) // 2 - counts.sum()], counts - fracs))
+    weights[2:] += fracs[:-1]
+    points = np.concatenate(([0.0], (np.arange(lo, lo + counts.size) << _SHIFT).view(np.float64)))
+    return points[weights != 0.0], weights[weights != 0.0]
+
+
+def _lattice_score(points: np.ndarray, weights: np.ndarray, N: int, d: int, h: float) -> float:
+    """UCV score of h over the lattice of :func:`_pair_lattice`: one exp per point."""
+    e = np.exp(np.divide(points, -4.0 * h * h))
+    return _ucv_score(N, d, h, float((weights * e).sum()), float((weights * e * e).sum()))
 
 
 def _ucv_range(N: int, d: int) -> tuple[float, float]:
@@ -140,9 +165,9 @@ def _ucv_range(N: int, d: int) -> tuple[float, float]:
 def oversmoothed_bandwidth(sample: EmbeddedSample) -> float:
     """Oversmoothed bandwidth h_plus = c max_k sigma_k, c = (4 / (N (d+2)))^(1/(d+4)), holding UCV's
     float range: a ValueError if the sample has no spread, if h_plus is below the floor where h^d
-    underflows from the grid bottom 1e-6 h_plus (d = 1 takes d = 2's floor: its squared distances go
-    subnormal first), or above the ceiling where a pairwise squared distance (<= 2 d (N-1)
-    sigma_max^2), the cutoff 746 * 4 h^2 or a denominator (<= N^2 (4 pi)^(d/2) h^d) overflows."""
+    underflows from the grid bottom 1e-6 h_plus (d = 1 takes d = 2's floor: its squared distances
+    go subnormal first), or above the ceiling where a squared distance (<= 2 d (N-1) sigma_max^2),
+    2984 h^2 (the kernel's 4h^2, with room) or a denominator (<= N^2 (4 pi)^(d/2) h^d) overflows."""
     N, d, fmax = sample.N, sample.d, sys.float_info.max
     if N < 2:
         raise ValueError("need at least two embedded vectors")
@@ -203,45 +228,18 @@ def _brent(f, a: float, b: float, tol: float) -> float:
     return x
 
 
-def _ucv_bounds(sample: EmbeddedSample, grid: np.ndarray) -> list[tuple[float, float]]:
-    """Lower bounds of :func:`ucv_objective` over ``grid``, less a slack, and each slack.
-
-    Along the sorted live pairs e = exp(-s / 4h^2) falls, and the score is T (1 + c sum g(e)),
-    g(e) = a e - 2 e^2 concave (a = 2^(-d/2), c = 2 / ((N - 1) a)): a run of ``_RUN`` pairs
-    adds at least ``_RUN`` min g at its ends (g(0) = 0 past the last).  The slack, 1e-9 T (1 +
-    c (a + 2) F) with F = ``_RUN`` sum e at the runs' first pairs, far exceeds the rounding.
-    """
-    N, d, sq, a = sample.N, sample.d, sample.sorted_sq_dists, 2.0 ** (-sample.d / 2.0)
-    c, buf, out = 2.0 / ((N - 1) * a), np.empty(2 * -(-sq.size // _RUN)), []  # one buffer
-    for h in grid.tolist():
-        n = int(np.searchsorted(sq, 746.0 * (four_h2 := 4.0 * h * h)))  # the live prefix
-        e, g = buf[:(m := -(-n // _RUN))], buf[m:2 * m]
-        np.exp(np.divide(sq[:n:_RUN], -four_h2, out=e), out=e)  # e at each run's first pair
-        size = 1.0 + c * (a + 2.0) * _RUN * float(e.sum())
-        np.multiply(e, np.subtract(a, np.multiply(e, 2.0, out=g), out=g), out=g)  # g(e)
-        np.minimum(g[:-1], g[1:], out=e[:-1])
-        np.minimum(g[-1:], 0.0, out=e[-1:])
-        tail = 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)  # T, as in the score
-        out.append((tail * (1.0 + c * _RUN * float(e.sum()) - 1e-9 * size), 1e-9 * tail * size))
-    return out
-
-
 def ucv_bandwidth(sample: EmbeddedSample) -> float:
     """Bandwidth h minimizing the UCV score on (0, h_plus]; h_plus must lie in UCV's float range.
 
     The score can carry spurious local minima near h = 0, so the search bracket is
     [1e-6 h_plus, h_plus]; a 32-point log-spaced grid locates the best basin, then Brent's
-    method refines the cell [grid[k - 1], grid[k + 1]] around its best point k to 1e-4 h_plus.
-    The grid is scored in order of :func:`_ucv_bounds`, skipping each point whose bound exceeds
-    the best score so far plus that score's slack, so k is still the grid's first minimum.
+    method refines the cell [grid[k - 1], grid[k + 1]] around its first best point k to
+    1e-4 h_plus.  Both score h on the lattice of :func:`_pair_lattice`, built once.
     """
     h_plus = oversmoothed_bandwidth(sample)
-    score = partial(ucv_objective, sample)
+    score = partial(_lattice_score, *_pair_lattice(sample), sample.N, sample.d)
     grid = np.geomspace(_GRID_BOTTOM * h_plus, h_plus, _GRID_POINTS)
-    bounds, best, slack, k = _ucv_bounds(sample, grid), math.inf, 0.0, 0
-    for j in sorted(range(_GRID_POINTS), key=bounds.__getitem__):
-        if bounds[j][0] <= best + slack and ((s := score(grid[j])) < best or s == best and j < k):
-            best, slack, k = s, bounds[j][1], j
+    k = int(np.argmin([score(h) for h in grid]))
     h = _brent(score, grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], tol=1e-4 * h_plus)
     return float(min(h, h_plus))
 

@@ -6,9 +6,12 @@ Runs the config PASSES times (default 5) with ``run_experiment``, serially:
 HMMAR_THREADS is ignored, because the timers live in this process.  Each pass
 wraps the functions that ``hmmar.harness`` and ``hmmar.filters`` call by name
 (``simulate``, ``run_filters``, ``ucv_bandwidth``, ``emission_mixture_problem``,
-``solve_kkt`` and ``emit_trace``) with ``perf_counter`` timers, and restores
-them afterwards.  For each stage it prints the calls of one pass and the least
-and greatest total seconds of a pass.  ``run_filters (recursions)`` is
+``solve_kkt`` and ``emit_trace``), and the lattice builder ``_pair_lattice``
+where ``hmmar.kde`` binds it, with ``perf_counter`` timers, and restores them
+afterwards.  For each stage it prints the calls of one pass and the least and
+greatest total seconds of a pass.  ``_pair_lattice`` is the histogram of pair
+distances that each UCV fit builds once; ``ucv_bandwidth (scores)`` is the rest
+of the fit, its grid and Brent scores.  ``run_filters (recursions)`` is
 ``run_filters`` less the UCV fits, QP builds and KKT solves inside it: the AR
 means, the optimal and Bayes recursions and the checks of its output.
 ``run_experiment`` is the whole pass.  ``--trace`` also writes the trace CSVs,
@@ -29,15 +32,17 @@ from time import perf_counter
 
 import hmmar.filters as filters
 import hmmar.harness as harness
+import hmmar.kde as kde
 from hmmar.harness import load_config, run_experiment
 
 #: (module, name) of each wrapped function, in the order of the printed lines.
-STAGES = ((harness, "simulate"), (filters, "ucv_bandwidth"),
+STAGES = ((harness, "simulate"), (kde, "_pair_lattice"), (filters, "ucv_bandwidth"),
           (filters, "emission_mixture_problem"), (filters, "solve_kkt"),
           (harness, "run_filters"), (harness, "emit_trace"))
 #: Stages timed inside run_filters; the rest of its time is the recursions.
 INSIDE = ("ucv_bandwidth", "emission_mixture_problem", "solve_kkt")
-LINES = ("simulate", *INSIDE, "run_filters (recursions)", "emit_trace", "run_experiment")
+LINES = ("simulate", "_pair_lattice", "ucv_bandwidth (scores)", *INSIDE[1:],
+         "run_filters (recursions)", "emit_trace", "run_experiment")
 
 
 def _timed(fn, counts: dict, seconds: dict, name: str):
@@ -71,6 +76,8 @@ def time_pass(config, out_dir, trace: bool) -> dict[str, tuple[int, float]]:
     times = {name: (counts[name], seconds[name]) for name in counts}
     calls, inner = times.pop("run_filters")
     times["run_filters (recursions)"] = (calls, inner - sum(seconds[name] for name in INSIDE))
+    calls, ucv = times.pop("ucv_bandwidth")
+    times["ucv_bandwidth (scores)"] = (calls, ucv - seconds["_pair_lattice"])
     times["run_experiment"] = (1, total)
     return times
 

@@ -14,9 +14,9 @@ from scipy.stats import multivariate_normal
 import hmmar.kde as kde
 from hmmar.filters import MODES, run_filters
 from hmmar.harness import example_config
-from hmmar.kde import (_GRID_POINTS, _LEAF, _MAX_ITER, EmbeddedSample, _brent, _exp_sums,
-                       _ucv_bounds, conditional_weights, embed, embedding_heads,
-                       oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
+from hmmar.kde import (_GRID_POINTS, _MAX_ITER, EmbeddedSample, _brent, _lattice_score,
+                       _pair_lattice, _sq_dist_blocks, conditional_weights, embed,
+                       embedding_heads, oversmoothed_bandwidth, ucv_bandwidth, ucv_objective)
 from hmmar.model import simulate
 
 from kde_reference import kde_eval
@@ -47,31 +47,22 @@ def reference_ucv_score(sq_dists: np.ndarray, N: int, d: int, h: float) -> float
     """UCV score from the condensed pairwise squared distances (i < j).
 
     The straightforward form: two ``exp`` per pair, over every pair, in any
-    order.  Reference for the kernel behind ``ucv_objective``/``ucv_bandwidth``.
+    order, through one buffer.  Reference for the kernel behind ``ucv_objective``.
     """
-    h2 = h * h
+    e = np.divide(sq_dists, -4.0 * h * h)
+    first = float(np.exp(e, out=e).sum())
+    second = float(np.exp(np.divide(sq_dists, -2.0 * h * h, out=e), out=e).sum())
     # Each unordered pair appears twice in the ordered double sum.
-    pair_sum = 2.0 * float(
-        np.sum(2.0 ** (-d / 2.0) * np.exp(-sq_dists / (4.0 * h2))
-               - 2.0 * np.exp(-sq_dists / (2.0 * h2)))
-    )
+    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
 
 
-def whole_array_sums(sq: np.ndarray, four_h2: float) -> tuple[float, float]:
-    """The sums of exp(-sq / 4h^2) and of its square as whole-array expressions."""
-    e = np.divide(sq, -four_h2)
-    first = float(np.exp(e, out=e).sum())
-    return first, float(np.square(e, out=e).sum())
-
-
-def whole_array_score(sample: EmbeddedSample, h: float) -> float:
-    """``ucv_objective`` with its sums over one copy of all live pairs."""
-    N, d, sq = sample.N, sample.d, sample.sorted_sq_dists
-    four_h2 = 4.0 * h * h
-    first, second = whole_array_sums(sq[:np.searchsorted(sq, 746.0 * four_h2)], four_h2)
-    pair_sum = 2.0 * (2.0 ** (-d / 2.0) * first - 2.0 * second)
+def ucv_size(sq_dists: np.ndarray, N: int, d: int, h: float) -> float:
+    """The sum of the sizes of the UCV score's terms: the score with its negative pair term added,
+    from the condensed pairwise squared distances (i < j)."""
+    e = np.exp(sq_dists / (-4.0 * h * h))
+    pair_sum = 2.0 * float(np.sum(2.0 ** (-d / 2.0) * e + 2.0 * e * e))
     lead = pair_sum / (N * (N - 1) * (2.0 * math.pi) ** (d / 2.0) * h ** d)
     return lead + 1.0 / (N * (4.0 * math.pi) ** (d / 2.0) * h ** d)
 
@@ -172,13 +163,45 @@ class TestKdeEval:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def lattice_from_pdist(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of ``kde._pair_lattice``, split pair by pair from scipy's ``pdist``.
+
+    Pairs at distance 0 weigh on the point 0.0; a squared distance s > 0 between the lattice
+    points p and q (the floats with the bits of s above ``kde._SHIFT``, and the next) puts
+    (q - s) / (q - p) on p and (s - p) / (q - p) on q; points of no weight are left out.
+    """
+    s = pdist(vectors, "sqeuclidean")
+    zeros, s = np.count_nonzero(s == 0.0), s[s > 0.0]
+    idx = s.view(np.int64) >> kde._SHIFT
+    lo = int(idx.min()) if s.size else 0
+    p, q = (idx << kde._SHIFT).view(np.float64), ((idx + 1) << kde._SHIFT).view(np.float64)
+    span = int(idx.max()) + 2 - lo if s.size else 0
+    weights = (np.bincount(idx - lo, (q - s) / (q - p), minlength=span)
+               + np.bincount(idx - lo + 1, (s - p) / (q - p), minlength=span))
+    points = np.concatenate(([0.0], (np.arange(lo, lo + span) << kde._SHIFT).view(np.float64)))
+    weights = np.concatenate(([zeros], weights))
+    return points[weights != 0.0], weights[weights != 0.0]
+
+
 class TestSortedSqDists:
-    """The numpy distance loop has the bits of scipy's ``pdist``, then sorted."""
+    """The pairs' squared distances have the bits of scipy's ``pdist``, in its order, and their
+    lattice is the pair-by-pair split of those distances; the class keeps the name of the sorted
+    array of distances that the lattice replaced."""
 
     @staticmethod
     def assert_matches_pdist(vectors):
-        got = EmbeddedSample(vectors).sorted_sq_dists
-        assert np.array_equal(got, np.sort(pdist(vectors, "sqeuclidean")))
+        N, want = vectors.shape[0], pdist(vectors, "sqeuclidean")
+        blocks = list(_sq_dist_blocks(vectors))
+        assert np.array_equal(np.concatenate([np.zeros(0), *blocks]), want[want > 0.0])
+        points, weights = _pair_lattice(EmbeddedSample(vectors))
+        want_points, want_weights = lattice_from_pdist(vectors)
+        assert weights.sum() == pytest.approx(N * (N - 1) / 2, rel=1e-12, abs=0.0)
+        assert np.array_equal(points, want_points)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
+        for k in (-200, -1, 3, 200):  # 2^k x: the same weights on the points times 4^k
+            scaled_points, scaled_weights = _pair_lattice(EmbeddedSample(np.ldexp(vectors, k)))
+            assert np.array_equal(scaled_weights, weights), k
+            assert np.array_equal(scaled_points, np.ldexp(points, 2 * k)), k
 
     @pytest.mark.parametrize("d", range(1, 10))
     @pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 129, 300])
@@ -197,13 +220,27 @@ class TestSortedSqDists:
         scales = 10.0 ** rng.integers(-6, 6, size=(130, 1))
         self.assert_matches_pdist(rng.standard_cauchy((130, d)) * scales)
 
+    def test_blocks_whose_pairs_are_all_tied(self, monkeypatch):
+        # a constant tail gives blocks of pairs that are all at distance 0, so no distance
+        monkeypatch.setattr(kde, "_PAIR_BLOCK", 64)
+        x = np.concatenate([np.random.default_rng(5).standard_normal(40), np.full(60, 0.25)])
+        vectors = embed(x, d=2).vectors
+        assert any(block.size == 0 for block in _sq_dist_blocks(vectors))
+        self.assert_matches_pdist(vectors)
+
     @pytest.mark.parametrize("N,d", [(2, 1), (17, 3), (63, 2), (64, 1), (65, 4), (200, 3),
                                      (598, 3)])
     def test_block_size_leaves_bits_unchanged(self, N, d, monkeypatch):
+        # the distances keep their bits and order under any block size; only the lattice's
+        # weights, summed block by block, may round differently
         vectors = np.random.default_rng(N + d).standard_normal((N, d))
-        small = EmbeddedSample(vectors).sorted_sq_dists
-        monkeypatch.setattr(kde, "_DIST_BLOCK", 64)
-        assert np.array_equal(EmbeddedSample(vectors).sorted_sq_dists, small)
+        distances = np.concatenate([np.zeros(0), *_sq_dist_blocks(vectors)])
+        points, weights = _pair_lattice(EmbeddedSample(vectors))
+        monkeypatch.setattr(kde, "_PAIR_BLOCK", 64)
+        assert np.array_equal(np.concatenate([np.zeros(0), *_sq_dist_blocks(vectors)]), distances)
+        small_points, small_weights = _pair_lattice(EmbeddedSample(vectors))
+        assert np.array_equal(small_points, points)
+        np.testing.assert_allclose(small_weights, weights, rtol=1e-12, atol=0.0)
 
 
 class TestUcvObjective:
@@ -268,36 +305,21 @@ class TestUcvObjective:
         sample = example_sample(0)
         sq = pdist(sample.vectors, "sqeuclidean")
         h_plus = oversmoothed_bandwidth(sample)
-        # an h whose cutoff s = 746 * 4h^2 falls on the median pair
-        s_mid = np.sort(sq)[sq.size // 2]
-        h_cut = math.sqrt(s_mid / (4.0 * 746.0))
-        assert 1e-6 * h_plus < h_cut < h_plus
-        for h in [*np.geomspace(1e-6 * h_plus, h_plus, 64), h_cut]:
+        for h in np.geomspace(1e-6 * h_plus, h_plus, 64):
             want = reference_ucv_score(sq, sample.N, sample.d, h)
             assert ucv_objective(sample, h) == pytest.approx(want, rel=1e-12, abs=0.0)
-            # the skipped pairs are exactly the ones whose kernel is 0.0
-            skipped = sq[sq >= 746.0 * 4.0 * h * h]
-            assert not np.exp(-skipped / (4.0 * h * h)).any()
-
-    @pytest.mark.parametrize("n", [*range(1, 300, 7), _LEAF - 8, _LEAF - 1, _LEAF, _LEAF + 1,
-                                   _LEAF + 8, 2 * _LEAF - 8, 2 * _LEAF - 1, 2 * _LEAF,
-                                   2 * _LEAF + 1, 2 * _LEAF + 8, 178_503, 3 * _LEAF + 5,
-                                   262_147, 399_999, 400_000])
-    def test_leaf_sums_match_whole_array_sums(self, n):
-        # the leaves follow numpy's pairwise splits, so the sums keep their bits
-        rng = np.random.default_rng(n)
-        sq = np.sort(rng.exponential(size=n) * 10.0 ** rng.integers(-3, 3, size=n))
-        for four_h2 in (1e-3, 0.37, 25.0):
-            got = _exp_sums(sq, four_h2, np.empty(min(n, _LEAF)))
-            assert got == whole_array_sums(sq, four_h2)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_score_matches_whole_array_score(self, seed):
-        # from no live pair up to all 178,503 of an example sample
+    def test_lattice_score_stays_near_exact_score(self, seed):
+        # from no overlap between kernels up to every pair overlapping (4 h_plus): the lattice
+        # score stays within 1e-4 of the size of the exact score's terms (2.6e-5 seen at most)
         sample = example_sample(seed)
+        N, d, sq = sample.N, sample.d, pdist(sample.vectors, "sqeuclidean")
+        points, weights = _pair_lattice(sample)
         h_plus = oversmoothed_bandwidth(sample)
         for h in np.geomspace(1e-6 * h_plus, 4.0 * h_plus, 97):
-            assert ucv_objective(sample, h) == whole_array_score(sample, h)
+            gap = _lattice_score(points, weights, N, d, h) - ucv_objective(sample, h)
+            assert abs(gap) <= 1e-4 * ucv_size(sq, N, d, h), h
 
 
 class TestOversmoothedBandwidth:
@@ -402,59 +424,9 @@ class TestUcvBandwidth:
         sample = embed(rng.standard_normal(150), d=1, l=1)
         h_ucv = ucv_bandwidth(sample)
         h_plus = oversmoothed_bandwidth(sample)
+        score = partial(reference_ucv_score, pdist(sample.vectors, "sqeuclidean"), sample.N, 1)
         grid = np.geomspace(1e-6 * h_plus, h_plus, 10_000)
-        grid_min = min(ucv_objective(sample, h) for h in grid)
-        assert ucv_objective(sample, h_ucv) <= grid_min + 1e-6
-
-    def test_matches_reference_search_exactly(self):
-        # The search over the whole-array score, which is bit-equal to
-        # ucv_objective without its leaf sums, gives h exactly; the two-exp
-        # reference picks the same cell, and since Brent's parabolic steps use
-        # score values, not only their order, its own search lands within
-        # 1e-11 h_plus
-        for seed in range(10):
-            sample = example_sample(seed)
-            sq = pdist(sample.vectors, "sqeuclidean")
-            h_plus = oversmoothed_bandwidth(sample)
-            whole = partial(whole_array_score, sample)
-
-            def score(h):
-                return reference_ucv_score(sq, sample.N, sample.d, h)
-
-            grid = np.geomspace(1e-6 * h_plus, h_plus, 32)
-            k = int(np.argmin([whole(h) for h in grid]))
-            assert int(np.argmin([score(h) for h in grid])) == k
-            cell = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-            h = min(_brent(whole, *cell, tol=1e-4 * h_plus), h_plus)
-            assert ucv_bandwidth(sample) == h
-            h_ref = min(_brent(score, *cell, tol=1e-4 * h_plus), h_plus)
-            assert h_ref == pytest.approx(h, rel=0.0, abs=1e-11 * h_plus)
-
-    def test_mean_evaluations_per_fit(self, monkeypatch):
-        calls = []
-
-        def counted(sample, h):
-            calls.append(h)
-            return ucv_objective(sample, h)
-
-        monkeypatch.setattr(kde, "ucv_objective", counted)
-        for seed in range(10):
-            ucv_bandwidth(example_sample(seed))
-        # scoring all 32 grid points took 41.4 per fit; the bounds leave about one of them
-        assert len(calls) / 10 <= 15
-
-    def test_memory_peak_is_the_score_buffer(self):
-        # the bounds' buffer of 2 ceil(pairs / 16) floats is freed before the first score,
-        # whose one leaf buffer is then the largest allocation of a fit
-        sample = example_sample(4)
-        sample.sorted_sq_dists
-        tracemalloc.start()
-        try:
-            ucv_bandwidth(sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * _LEAF + 16 * 1024
+        assert score(h_ucv) <= min(map(score, grid)) + 1e-6
 
     @staticmethod
     def series(kind: str, seed: int) -> np.ndarray:
@@ -472,20 +444,38 @@ class TestUcvBandwidth:
         return rng.standard_normal(n)
 
     @pytest.mark.parametrize("kind", ["normal", "tied", "two modes", "heavy tails", "scaled"])
-    def test_bounds_hold_and_keep_the_full_grid_search(self, kind):
-        # a grid point is skipped only when its bound clears the best score, so each bound
-        # must stay below its computed score, and h is the full grid search's to the bit
+    def test_lattice_search_stays_within_brent_tolerance_of_exact_search(self, kind):
+        # on the grid the lattice score stays within 1e-4 of the size of the exact score's terms
+        # (2.6e-5 seen at most), and h within Brent's tolerance 1e-4 h_plus of the same search
+        # on the exact score (4.8e-6 h_plus seen at most)
         for seed, d in itertools.product(range(6), range(1, 5)):
             sample = embed(self.series(kind, seed), d=d, l=1)
+            N, sq = sample.N, pdist(sample.vectors, "sqeuclidean")
             h_plus = oversmoothed_bandwidth(sample)
             grid = np.geomspace(1e-6 * h_plus, h_plus, _GRID_POINTS)
             scores = [ucv_objective(sample, h) for h in grid]
-            for (bound, _), score in zip(_ucv_bounds(sample, grid), scores):
-                assert bound <= score, (seed, d)
+            lattice = partial(_lattice_score, *_pair_lattice(sample), N, d)
+            for h, score in zip(grid, scores):
+                assert abs(lattice(h) - score) <= 1e-4 * ucv_size(sq, N, d, h), (seed, d, h)
             k = int(np.argmin(scores))
             cell = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
             h = min(_brent(partial(ucv_objective, sample), *cell, tol=1e-4 * h_plus), h_plus)
-            assert ucv_bandwidth(sample) == h, (seed, d)
+            assert abs(ucv_bandwidth(sample) - h) <= 1e-4 * h_plus, (seed, d)
+
+    @pytest.mark.parametrize("steps, mib", [(600, 1.87), (4800, 2.0)])
+    def test_fit_memory_peak_does_not_grow_with_the_pairs(self, steps, mib):
+        # the lattice is built in blocks of pairs, so a fit's tracemalloc peak stays about
+        # 0.65 MiB where the sorted distances of the N (N - 1) / 2 pairs took 1.87 MiB at 600
+        # steps and would take 88 MiB at 4,800
+        cfg = example_config()
+        sample = embed(simulate(cfg.model, steps, cfg.burn_in, 4).x, d=cfg.tau + 1, l=cfg.l)
+        tracemalloc.start()
+        try:
+            ucv_bandwidth(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_no_gap_to_dense_grid_over_bracket_cell(self, seed):
@@ -493,8 +483,8 @@ class TestUcvBandwidth:
         assert sample.d == 3
         grid, k = ucv_grid(sample)
         cell = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)], 2000)
-        cell_min = min(ucv_objective(sample, h) for h in cell)
-        assert ucv_objective(sample, ucv_bandwidth(sample)) <= cell_min + 1e-6
+        score = partial(reference_ucv_score, pdist(sample.vectors, "sqeuclidean"), sample.N, 3)
+        assert score(ucv_bandwidth(sample)) <= min(map(score, cell)) + 1e-6
 
     @pytest.mark.parametrize("x, k", [
         (np.round(2.0 * np.random.default_rng(0).standard_normal(200)), 0),  # tied values
@@ -695,10 +685,11 @@ def test_embedding_heads_raise_where_weights_raise(length):
     assert outcomes == {"raised", "returned"}
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, True, "0.5"])
 def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
     # an infinite h once gave 37 equal weights and a UCV score of 0.0, with no error;
-    # a run pinned to it would return near-uniform predictive rows
+    # a run pinned to it would return near-uniform predictive rows.  h = True once ran as
+    # 1.0, and h = "0.5" raised a TypeError from comparing a float with a str
     x = np.random.default_rng(23).standard_normal(50)
     message = "^h must be positive and finite"
     for mode in MODES:  # refused even where no filter reads h
@@ -706,7 +697,8 @@ def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
             run_filters([x], example_config().model, eval_start=40, h=bad, mode=mode)
     with pytest.raises(ValueError, match=message):
         conditional_weights(x, 40, 2, 1, bad)
-    with pytest.raises(ValueError, match=message):  # one bad entry of a block's (R, 1) h
-        conditional_weights(np.vstack([x, x]), 40, 2, 1, np.array([[0.5], [bad]]))
+    if bad is not True:  # numpy reads [[0.5], [True]] as the floats [[0.5], [1.0]]
+        with pytest.raises(ValueError, match=message):  # one bad entry of a block's (R, 1) h
+            conditional_weights(np.vstack([x, x]), 40, 2, 1, np.array([[0.5], [bad]]))
     with pytest.raises(ValueError, match=message):
         ucv_objective(embed(x, 3), bad)

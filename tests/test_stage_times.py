@@ -20,7 +20,8 @@ def test_stage_times_prints_every_stage_and_keeps_the_summary(tmp_path, capsys, 
     assert lines[0].split() == ["stage", "calls", "min_s", "max_s", "over", "2", "passes"]
     assert [line[:26].strip() for line in lines[1:]] == list(LINES)
     calls = {line[:26].strip(): int(line[26:34]) for line in lines[1:]}
-    assert calls == {"simulate": 3, "ucv_bandwidth": 3, "emission_mixture_problem": 20,
+    assert calls == {"simulate": 3, "_pair_lattice": 3, "ucv_bandwidth (scores)": 3,
+                     "emission_mixture_problem": 20,
                      "solve_kkt": 60, "run_filters (recursions)": 1, "emit_trace": 3,
                      "run_experiment": 1}
     for line in lines[1:]:
