@@ -7,11 +7,10 @@ filtering and one-step prediction.  Only these scores leave a block of
 repeats: their mean and standard error across repeats go to ``summary.csv``,
 and the per-step data only to the plot-ready ``trace_<r>.csv`` files.
 
-Repeats are independent and run in lockstep blocks of about ``_BLOCK_OBS`` observations,
-``_BLOCK_MIN`` repeats or, in a run that fits UCV, as many repeats as kept a block's arrays
-under one fit's peak memory where measured, whichever is most; the blocks are of equal size,
-and their count is a multiple of the workers.  Set HMMAR_THREADS to run blocks in parallel
-(0 = one worker per CPU).  Aggregation order is fixed by repeat index, so output files are
+Repeats are independent and run in lockstep blocks of about ``_BLOCK_CELLS`` step-state
+cells, ``_BLOCK_MIN`` repeats at least, in every mode; the blocks are of equal size, and their
+count is a multiple of the workers.  Set HMMAR_THREADS to run blocks in parallel (0 = one
+worker per CPU).  Aggregation order is fixed by repeat index, so output files are
 byte-identical regardless of blocking and parallelism.
 """
 
@@ -37,11 +36,11 @@ _ROWS = (("optimal", "filtering", "optimal_posterior"),
          ("nonparametric", "filtering", "nonparametric_posterior"),
          ("nonparametric", "prediction", "nonparametric_predictive"))
 
-#: Observations per lockstep block (_BLOCK_MIN repeats at least); in a run that fits UCV, also
-#: hi // (_BLOCK_UCV * M) repeats of hi steps.  Measured (tracemalloc, example model, h pinned),
-#: such a block peaks at 0.25 MiB at 250 steps and 0.51 MiB at 600, under one UCV fit's 0.62 and
-#: 0.65 MiB; wider raised peak RSS.  The fit's peak no longer grows with hi, the block's does.
-_BLOCK_OBS, _BLOCK_MIN, _BLOCK_UCV = 1 << 11, 4, 20
+#: Step-state cells per lockstep block: _BLOCK_CELLS // (hi * M) repeats of hi steps and M
+#: states, _BLOCK_MIN at least, in every mode.  Measured (tracemalloc, example model, h pinned,
+#: mode both), a block costs 29-33 bytes per cell: 0.57, 0.51 and 0.49 MiB at 250, 600 and
+#: 1,200 steps, under one UCV fit's 0.62-0.66 MiB.  From 2,400 steps the floor sets the width.
+_BLOCK_CELLS, _BLOCK_MIN = 18_000, 4
 
 #: Lowest allowed value of each integer field of ExperimentConfig; check_window owns tau and l.
 _INT_FLOORS = {"n_total": 1, "repeats": 1, "seed": 0, "burn_in": 0}
@@ -208,10 +207,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, trace: bool = False) 
     trace_dir = str(out_dir) if trace else None
 
     workers, hi, repeats = _worker_count(config.repeats), config.eval_window[1], config.repeats
-    # repeats per block: the observation budget's share, or UCV's if more; then as many blocks,
+    # repeats per block: the cell budget's share, _BLOCK_MIN at least; then as many blocks,
     # rounded up to a multiple of the workers, of equal size
-    ucv = hi // (_BLOCK_UCV * config.model.M) if config.mode != "optimal" else 0
-    blocks = -(-repeats // max(_BLOCK_MIN, _BLOCK_OBS // hi, ucv))
+    blocks = -(-repeats // max(_BLOCK_MIN, _BLOCK_CELLS // (hi * config.model.M)))
     size = -(-repeats // (blocks + -blocks % workers))
     tasks = [(config, range(a, min(a + size, repeats)), trace_dir) for a in range(0, repeats, size)]
     if workers > 1:

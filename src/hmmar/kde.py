@@ -105,6 +105,8 @@ def ucv_objective(sample: EmbeddedSample, h: float) -> float:
     """Unbiased cross-validation score of the scalar bandwidth h, exact: one exp per pair."""
     if sample.N < 2:
         raise ValueError("UCV needs at least two embedded vectors")
+    if np.ndim(h) > 0:
+        raise ValueError(f"h must be a scalar, got shape {np.shape(h)}")
     _check_bandwidth(h)
     N, d, (lo, hi) = sample.N, sample.d, _ucv_range(sample.N, sample.d)
     if not lo <= h <= hi:

@@ -422,9 +422,9 @@ def test_summary_matches_golden_bytes(name):
 
 @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense", "golden_optimal"])
 def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
-    # blocks are filtered in lockstep; a budget of one observation and a floor
-    # of 2 repeats make every block hold 2 repeats (1 where the count is odd),
-    # and the bytes must match the single-block goldens
+    # blocks are filtered in lockstep; a budget of one cell and a floor of 2
+    # repeats make every block hold 2 repeats (1 where the count is odd), and
+    # the bytes must match the single-block goldens
     import hmmar.harness as harness
     sizes = []
 
@@ -432,9 +432,8 @@ def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
         sizes.append(len(trajectories))
         return run_filters(trajectories, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_BLOCK_OBS", 1)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(harness, "_BLOCK_MIN", 2)
-    monkeypatch.setattr(harness, "_BLOCK_UCV", 1 << 20)  # UCV's width 0 at any length
     monkeypatch.setattr(harness, "run_filters", counted)
     assert moved(name, GOLDEN_DIGESTS) == []
     assert sizes == {2: [2], 3: [2, 1]}[load_config(DATA / f"{name}.json").repeats]
@@ -493,34 +492,30 @@ def block_sizes(cfg, monkeypatch, workers=1):
     return seen
 
 
-@pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [4] * 12 + [2]),
-                                                  (250, 120, [8] * 15),
-                                                  (10_000, 10, [4, 4, 2])])
-def test_block_partition(steps, repeats, sizes, monkeypatch):
-    # about 2,048 observations per serial block, and 4 repeats at least
-    cfg = replace(example_config(), n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
-                  repeats=repeats, mode="optimal")
-    assert block_sizes(cfg, monkeypatch) == sizes
-
-
-@pytest.mark.parametrize("steps,repeats,mode,workers,sizes", [
-    (600, 50, "both", 1, [10] * 5),
-    (250, 120, "nonparametric", 1, [8] * 15),
-    (600, 50, "both", 2, [9] * 5 + [5]),
-    (600, 10, "both", 2, [5, 5]),
+@pytest.mark.parametrize("name,steps,repeats,mode,workers,sizes", [
+    ("example", 600, 50, "both", 1, [10] * 5),  # perfbench's example
+    ("example", 600, 50, "optimal", 1, [10] * 5),  # the same rule in every mode
+    ("example", 250, 120, "nonparametric", 1, [24] * 5),
+    ("example", 10_000, 10, "optimal", 1, [4, 4, 2]),  # optimal_long: the floor sets the width
+    ("golden_qp_dense", 250, 120, "nonparametric", 1, [18] * 6 + [12]),  # qp_dense, M = 4
+    ("example", 600, 50, "both", 2, [9] * 5 + [5]),
+    ("example", 600, 10, "both", 2, [5, 5]),
 ])
-def test_ucv_block_partition(steps, repeats, mode, workers, sizes, monkeypatch):
-    # a run that fits UCV may also take steps // 60 repeats at M = 3 states; the blocks are of
-    # equal size, and their count is a multiple of the workers
-    cfg = replace(example_config(), n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
+def test_block_partition(name, steps, repeats, mode, workers, sizes, monkeypatch):
+    # about 18,000 step-state cells per block, 4 repeats at least, in every mode; the blocks
+    # are of equal size, and their count is a multiple of the workers
+    base = example_config() if name == "example" else load_config(DATA / f"{name}.json")
+    cfg = replace(base, n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
                   repeats=repeats, mode=mode)
     assert block_sizes(cfg, monkeypatch, workers) == sizes
 
 
-@pytest.mark.parametrize("steps", [600, 250])
+@pytest.mark.parametrize("steps", [250, 600, 1200])
 def test_widest_ucv_block_stays_under_one_fit(steps, monkeypatch):
-    # the widest block of a UCV run on the example model, with h pinned, peaks below one UCV
-    # fit on one of its series (tracemalloc): the run's largest arrays stay the fit's
+    # where the cell budget, not the floor, sets the width, the widest block of a UCV run on
+    # the example model, with h pinned, peaks below one UCV fit on one of its series
+    # (tracemalloc): the run's largest arrays stay the fit's.  A width of hi // 60 once took
+    # 20 repeats at 1,200 steps, 1.64 MiB against a fit's 0.65
     import tracemalloc
     cfg = replace(example_config(), n_total=steps, eval_window=(steps - 99, steps), repeats=1000)
     width = max(block_sizes(cfg, monkeypatch))

@@ -685,12 +685,18 @@ def test_embedding_heads_raise_where_weights_raise(length):
     assert outcomes == {"raised", "returned"}
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, True, "0.5"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, True, "0.5", [0.5],
+                                 np.array([0.5])])
 def test_weights_and_ucv_reject_bandwidth_outside_its_domain(bad):
     # an infinite h once gave 37 equal weights and a UCV score of 0.0, with no error;
     # a run pinned to it would return near-uniform predictive rows.  h = True once ran as
     # 1.0, and h = "0.5" raised a TypeError from comparing a float with a str
     x = np.random.default_rng(23).standard_normal(50)
+    if np.ndim(bad) > 0:  # a block's h elsewhere; UCV scores one h, where [0.5] once raised
+        # a TypeError and np.array([0.5]) returned a one-element array
+        with pytest.raises(ValueError, match=r"^h must be a scalar, got shape \(1,\)$"):
+            ucv_objective(embed(x, 3), bad)
+        return
     message = "^h must be positive and finite"
     for mode in MODES:  # refused even where no filter reads h
         with pytest.raises(ValueError, match=message):
