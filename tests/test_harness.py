@@ -492,22 +492,39 @@ def block_sizes(cfg, monkeypatch, workers=1):
     return seen
 
 
-@pytest.mark.parametrize("name,steps,repeats,mode,workers,sizes", [
-    ("example", 600, 50, "both", 1, [10] * 5),  # perfbench's example
-    ("example", 600, 50, "optimal", 1, [10] * 5),  # the same rule in every mode
-    ("example", 250, 120, "nonparametric", 1, [24] * 5),
-    ("example", 10_000, 10, "optimal", 1, [4, 4, 2]),  # optimal_long: the floor sets the width
-    ("golden_qp_dense", 250, 120, "nonparametric", 1, [18] * 6 + [12]),  # qp_dense, M = 4
-    ("example", 600, 50, "both", 2, [9] * 5 + [5]),
-    ("example", 600, 10, "both", 2, [5, 5]),
+def partition_config(base, steps, repeats, mode):
+    return replace(base, n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
+                   repeats=repeats, mode=mode)
+
+
+@pytest.mark.parametrize("steps,repeats,sizes", [(600, 50, [10] * 5),  # perfbench's example
+                                                  (250, 120, [24] * 5),
+                                                  (10_000, 10, [4, 4, 2])])  # optimal_long
+def test_block_partition(steps, repeats, sizes, monkeypatch):
+    # about 18,000 step-state cells per block, and 4 repeats at least (the floor sets the
+    # width at 10,000 steps)
+    cfg = partition_config(example_config(), steps, repeats, "optimal")
+    assert block_sizes(cfg, monkeypatch) == sizes
+
+
+@pytest.mark.parametrize("steps,repeats,mode,workers,sizes", [
+    (600, 50, "both", 1, [10] * 5),
+    (250, 120, "nonparametric", 1, [24] * 5),
+    (600, 50, "both", 2, [9] * 5 + [5]),
+    (600, 10, "both", 2, [5, 5]),
 ])
-def test_block_partition(name, steps, repeats, mode, workers, sizes, monkeypatch):
-    # about 18,000 step-state cells per block, 4 repeats at least, in every mode; the blocks
-    # are of equal size, and their count is a multiple of the workers
-    base = example_config() if name == "example" else load_config(DATA / f"{name}.json")
-    cfg = replace(base, n_total=steps, eval_window=(501 if steps > 501 else 41, steps),
-                  repeats=repeats, mode=mode)
+def test_ucv_block_partition(steps, repeats, mode, workers, sizes, monkeypatch):
+    # a run that fits UCV takes the same width as an optimal-only run; the blocks are of
+    # equal size, and their count is a multiple of the workers
+    cfg = partition_config(example_config(), steps, repeats, mode)
     assert block_sizes(cfg, monkeypatch, workers) == sizes
+
+
+def test_block_partition_counts_states(monkeypatch):
+    # the budget is of step-state cells: qp_dense's M = 4 states narrow its blocks to
+    # 18,000 // (250 * 4) = 18 repeats, where the example's M = 3 takes 24
+    cfg = partition_config(load_config(DATA / "golden_qp_dense.json"), 250, 120, "nonparametric")
+    assert block_sizes(cfg, monkeypatch) == [18] * 6 + [12]
 
 
 @pytest.mark.parametrize("steps", [250, 600, 1200])
