@@ -3,10 +3,9 @@
 At one time step, the estimated conditional density is projected onto the
 mixture of per-state emission densities: a quadratic program over the
 probability simplex.  This script builds that QP from real data with the
-package's public pieces, solves it by KKT active-set enumeration (its 2^M - 1
-active sets are why the nonparametric filter takes at most
-``simplex_qp.MAX_STATES`` states), checks the KKT optimality conditions and
-compares the solution with the filter's own, run on the observations alone.
+package's public pieces, solves it by a primal active-set method (the face it
+returns is the one an enumeration of all 2^M - 1 faces would accept first),
+checks the KKT optimality conditions and compares the solution with the filter's own, run on the observations alone.
 (Acceptance criterion 3 compares the solver with a lattice brute-force scan.)
 """
 import numpy as np

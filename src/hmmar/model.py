@@ -120,6 +120,17 @@ class SwitchingArModel:
         except ValueError as exc:
             raise ValueError(f"transition: {exc}") from None
         self.stationary.setflags(write=False)
+        # A common shift of the means leaves the model's laws as they were, but rounding
+        # does not: refuse means whose float spacing exceeds 2^-20 of the least b where,
+        # taken from their midpoint, it would not, so that the offset alone costs the
+        # precision.  Means far apart by themselves (1e60 and 1) and equal means keep running.
+        i, j = int(np.abs(self.mu).argmax()), int(self.b.argmin())
+        spacing, floor = np.spacing(abs(self.mu[i])).item(), 2.0 ** -20 * self.b[j]
+        lo, hi = self.mu.min(), self.mu.max()
+        if spacing > floor and lo < hi and np.spacing((hi - lo) / 2.0) <= floor:
+            raise ValueError(f"states[{i}].mu = {self.mu[i].item()!r} has a float spacing of "
+                             f"{spacing:.3g}, above 2^-20 of the least b, states[{j}].b = "
+                             f"{self.b[j].item()!r}")
 
     @property
     def M(self) -> int:

@@ -3,8 +3,8 @@
 * :func:`brute_force_solve` scans the simplex lattice with a given spacing.
 * :func:`reference_enumerate_kkt` tries the 2^M KKT active sets one at a
   time, in the order :func:`reference_mask_order` gives, and returns the
-  first feasible one; ``hmmar.simplex_qp.solve_kkt`` must reproduce it bit
-  for bit with its stacked solve.
+  first feasible one, each by its own LAPACK solve; ``hmmar.simplex_qp.solve_kkt``
+  must return its face and fallback flag, and its u and lambda within rounding.
 """
 
 from __future__ import annotations

@@ -481,6 +481,10 @@ SPOILERS = [
     ("state-not-object", ("model", "states", -1), [1.0], "states[{i}]"),
     ("state-count", ("model", "states"), without_last, "states"),
     ("state-orders", ("model", "states", -1, "a"), lambda a, d: a + [0.0], "states"),
+    # a common shift of the means by 1e15 changes no law of the model, but its float
+    # spacing (0.125) swamps every b, so rounding alone would move the error table
+    ("mu-shifted-1e15", ("model", "states"),
+     lambda states, d: [dict(st, mu=st["mu"] + 1e15) for st in states], "].mu = "),
     # the chain starts from its stationary law, and no key sets another start:
     # whatever its value, an initial_dist entry is refused as an unknown key
     *[(f"initial-{name}", ("model", "initial_dist"), bad, "unknown model keys: ['initial_dist']")

@@ -442,7 +442,9 @@ def test_two_repeat_blocks_keep_golden_bytes(name, monkeypatch):
 def test_golden_summaries_hold_under_other_kernels():
     # every summary.csv row of the goldens holds on another host class: OpenBLAS's AVX2
     # kernel, and numpy without its AVX-512 path, each in its own child.  Trace digests
-    # may move (LAPACK, BLAS in _predict and numpy's exp and log round apart); rows may not
+    # may move (BLAS in _predict and numpy's exp and log round apart); rows may not.
+    # golden_qp_dense runs the nonparametric filter alone, whose QP solve is Python floats
+    # and calls no BLAS or LAPACK, so under another OpenBLAS kernel its digests hold too
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
@@ -457,6 +459,8 @@ def test_golden_summaries_hold_under_other_kernels():
         lines = out.splitlines()
         assert lines and all(" digest " in line or line.startswith("unchanged: ")
                              for line in lines), (setting, lines)
+        if "OPENBLAS_CORETYPE" in setting:
+            assert not [line for line in lines if line.startswith("golden_qp_dense:")], lines
 
 
 def block_sizes(cfg, monkeypatch, workers=1):

@@ -91,6 +91,27 @@ class TestSwitchingArModel:
                              [ArStateParams(0.0, [0.1], 1.0),
                               ArStateParams(0.0, [0.1, 0.2], 1.0)])
 
+    @pytest.mark.parametrize("means,refused", [
+        ([1e15, 1e15 + 0.5, 1e15 + 1.0], True),  # spacing 0.125, above b itself
+        ([2.0 ** 29, 2.0 ** 29 + 0.5, 2.0 ** 29 + 1.0], True),
+        ([2.0 ** 29 - 2.0, 2.0 ** 29 - 1.5, 2.0 ** 29 - 1.0], False),
+        ([-1e6, 0.5 - 1e6, 1.0 - 1e6], False),
+        ([0.0, 2.0 ** 40, 1.0], False),  # far apart by themselves: no shift would help
+        ([1.0, 1.0, 1.0], False),  # equal means: nothing to shift away
+    ])
+    def test_means_sharing_an_offset_that_swamps_the_least_b_are_refused(self, means,
+                                                                         refused):
+        # the least b is 0.1, and 2^-20 * 0.1 lies between the spacing of floats in
+        # [2^28, 2^29), 2^-24, and in [2^29, 2^30), 2^-23
+        states = [ArStateParams(mu, [0.3, 0.2], b) for mu, b in zip(means, (0.1, 0.2, 0.1))]
+        if refused:
+            with pytest.raises(ValueError, match=r"^states\[2\]\.mu = .* has a float spacing "
+                                                 r"of .*, above 2\^-20 of the least b, "
+                                                 r"states\[0\]\.b = 0\.1$"):
+                SwitchingArModel(TransitionMatrix(EXAMPLE_P), states)
+        else:
+            SwitchingArModel(TransitionMatrix(EXAMPLE_P), states)
+
 
 @pytest.mark.parametrize("name,build", [
     ("mu", lambda: ArStateParams("0.5", [0.1], 0.1)),

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hmmar.harness import load_config, run_experiment
-from hmmar.simplex_qp import (SimplexPoint, _active_set_table, _project_simplex,
-                              _projected_gradient, is_positive_definite,
-                              solve_kkt)
+import hmmar.simplex_qp as simplex_qp
+from hmmar.simplex_qp import (SimplexPoint, _project_simplex, _projected_gradient,
+                              _table_order, is_positive_definite, solve_kkt)
 from lattice_oracle import (brute_force_solve, objective, reference_enumerate_kkt,
                             reference_mask_order)
 
@@ -17,6 +17,21 @@ def random_pd_problem(rng, M):
     C = A @ A.T + 0.1 * np.eye(M)
     c = rng.uniform(0.1, 2.0, size=M)
     return C, c
+
+
+def random_families(rng, trials):
+    """``(C, c)`` pairs, M in 2..12, whose optima are interior, vertices or random faces."""
+    for trial in range(trials):
+        M = int(rng.integers(2, 13))
+        C, c = random_pd_problem(rng, M)
+        if trial % 3 == 0:
+            c = C @ rng.dirichlet(np.ones(M)) + rng.normal()
+        elif trial % 3 == 1:
+            j = int(rng.integers(M))
+            lam = rng.uniform(0.01, 1.0, size=M)
+            lam[j] = 0.0
+            c = C[:, j] - lam + rng.normal()
+        yield C, c
 
 
 def kkt_residuals(C, c, sol):
@@ -34,10 +49,21 @@ def kkt_residuals(C, c, sol):
 DATA = Path(__file__).parent / "data"
 
 
-def assert_same_point(sol, ref):
-    """Equal u and lambda, bit for bit: np.array_equal alone takes -0.0 for 0.0."""
-    for got, want in ((sol.u, ref.u), (sol.lam, ref.lam)):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+def assert_same_face(sol, ref, C, c, noise=()):
+    """``sol`` is the per-mask reference's answer: the same fallback flag (``ref`` None), the
+    same active set (the nonzero multipliers) and zero pattern of u, and u and lambda within
+    1e-12 times the scale of C and c.  A coordinate in ``noise`` is left out of the zero
+    pattern: both solves leave it a rounding error of either sign, which the clip may zero."""
+    assert sol.fallback == (ref is None)
+    if ref is None:
+        return
+    scale = max(1.0, np.abs(C).max(), np.abs(c).max())
+    assert np.array_equal(sol.lam[:-1] != 0.0, ref.lam[:-1] != 0.0)
+    keep = np.ones(len(c), dtype=bool)
+    keep[list(noise)] = False
+    assert np.array_equal((sol.u == 0.0)[keep], (ref.u == 0.0)[keep])
+    assert np.abs(sol.u - ref.u).max() <= 1e-12 * scale
+    assert np.abs(sol.lam - ref.lam).max() <= 1e-12 * scale
 
 
 class TestSolveKktRejects:
@@ -91,10 +117,15 @@ class TestSimplexPoint:
 
 class TestSolveKkt:
     def test_no_residual_passing_row_falls_back(self, monkeypatch):
-        # every reduced solution off by 1.0: each system's last row, sum(u) = 1, misses by at
-        # least 1, so no active set is accepted and the projected gradient answers
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) + 1.0)
+        # every face's point off by 1.0: its sum(u) = 1 row misses by at least 1, so the
+        # residual test fails and the projected gradient answers
+        face_point = simplex_qp._face_point
+
+        def off_by_one(*args):
+            u, lam_eq = face_point(*args)
+            return [v + 1.0 for v in u], lam_eq
+
+        monkeypatch.setattr(simplex_qp, "_face_point", off_by_one)
         sol = solve_kkt(np.eye(2), np.array([0.3, 0.3]))
         assert sol.fallback and sol.lam is None
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-9)
@@ -166,9 +197,9 @@ class TestSolveKkt:
             assert abs(u.sum() - 1.0) < 1e-10
 
     def test_exactly_singular_reduced_system_falls_back(self):
-        # C = a * ones is singular, but the rounding of its Cholesky factor leaves
-        # a last pivot of 4.3e-5; its square, 1.85e-9, is below the scaled floor
-        # 1e-12 * 8912896, so the definiteness test rejects C and the step falls back
+        # C = a * ones is singular, but the rounding of its Cholesky factor (LAPACK's and
+        # the solver's own alike) leaves a last squared pivot of 1.86e-9, below the scaled
+        # floor 1e-12 * 8912896, so the definiteness test rejects C and the step falls back
         C, c = np.full((2, 2), 8912896.0), np.array([1.0, 3.0])
         assert np.linalg.cholesky(C)[1, 1] ** 2 > 1e-12
         assert not is_positive_definite(C)
@@ -178,10 +209,17 @@ class TestSolveKkt:
         assert np.array_equal(sol.u, u / u.sum())
 
     def test_raising_stacked_solve_falls_back(self, monkeypatch):
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
+        # the all-free face gives u = (-0.5, 1.5), so the method moves to the face u_1 = 0;
+        # that face's factor reads a zeroed C and meets a pivot of 0, and the step falls back
+        factor = simplex_qp._factor
+
+        def singular_faces(rows, c, free, *rest):
+            if len(free) < len(rows):
+                rows = [[0.0] * len(row) for row in rows]
+            return factor(rows, c, free, *rest)
+
         C, c = np.eye(2), np.array([1.0, 3.0])
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(simplex_qp, "_factor", singular_faces)
         sol = solve_kkt(C, c)
         u = _projected_gradient(C, c)
         assert sol.fallback and sol.lam is None
@@ -195,7 +233,7 @@ class TestSolveKkt:
         np.testing.assert_allclose(sol.u, [0.5, 0.5], atol=1e-9)
 
     def test_single_state_is_a_certificate(self):
-        # the one reduced system [[C00, 1], [1, 0]] gives u = [1] and lambda_eq = c0 - C00
+        # the one face gives u = [1] and lambda_eq = c0 - C00
         for C00, c0 in ((1.0, 1.0), (0.28, -3.0), (2.5, 0.7)):
             C, c = np.array([[C00]]), np.array([c0])
             sol = solve_kkt(C, c)
@@ -206,20 +244,31 @@ class TestSolveKkt:
             solve_kkt(np.zeros((0, 0)), np.zeros(0))
 
     def test_more_states_than_the_limit_are_refused_before_any_table(self):
-        # each state doubles the table of 2^M - 1 systems; past MAX_STATES = 12 none is built
-        cached = _active_set_table.cache_info().currsize
+        # past MAX_STATES = 12 the input is refused before any face is solved or ordered
+        cached = _table_order.cache_info().currsize
         with pytest.raises(ValueError, match="^need at most 12 states, got M = 13$"):
             solve_kkt(np.eye(13), np.zeros(13))
-        assert _active_set_table.cache_info().currsize == cached
+        assert _table_order.cache_info().currsize == cached
+
+    def test_the_solve_calls_no_lapack(self, monkeypatch):
+        # outside the projected-gradient fallback the solve is Python floats: with LAPACK's
+        # solve and Cholesky raising, every random problem is still solved without fallback
+        def lapack(*args, **kwargs):
+            raise AssertionError("solve_kkt called LAPACK")
+        monkeypatch.setattr(np.linalg, "solve", lapack)
+        monkeypatch.setattr(np.linalg, "cholesky", lapack)
+        for C, c in random_families(np.random.default_rng(67), 60):
+            assert not solve_kkt(C, c).fallback
 
 
 class TestStackedEnumeration:
+    """The active-set method returns the face that the per-mask enumeration accepts first."""
+
     def test_mask_table_follows_reference_order(self):
         for M in range(2, 7):
-            masks = np.array(_active_set_table(M)[0], dtype=int) @ (1 << np.arange(M))
-            assert masks.tolist() == reference_mask_order(M)[:-1]  # all-active dropped
+            assert list(_table_order((1 << M) - 1)) == reference_mask_order(M)
 
-    def test_bit_identical_to_per_mask_reference(self):
+    def test_bit_identical_to_per_mask_reference(self, monkeypatch):
         # a third each: interior optimum u0, vertex optimum e_j, random c
         rng = np.random.default_rng(61)
         kinds = {"interior": 0, "vertex": 0, "face": 0}
@@ -239,17 +288,46 @@ class TestStackedEnumeration:
                 c = rng.uniform(-1.0, 2.0, size=M)
             sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
             assert ref is not None and not sol.fallback
-            assert_same_point(sol, ref)
+            assert_same_face(sol, ref, C, c)
             free = int(np.count_nonzero(sol.u))
             kinds["interior" if free == M else "vertex" if free == 1 else "face"] += 1
         assert min(kinds.values()) >= 50, kinds
 
+        # weakly active: u_j = 0 with lambda_j = 0 at the optimum, next to a bound u_k = 0
+        # with lambda_k > 0.  The faces {k} and {j, k} both pass, and the table order picks
+        # {k}; in some trials the method's path passes {j, k} first and the order moves it
+        moved = []
+        first_in_table_order = simplex_qp._first_in_table_order
+
+        def recorded(rows, c, scale, free, u, lam):
+            got = first_in_table_order(rows, c, scale, free, u, lam)
+            moved.append(got[0] is not u)
+            return got
+
+        monkeypatch.setattr(simplex_qp, "_first_in_table_order", recorded)
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            M = int(rng.integers(3, 7))
+            A = rng.normal(size=(M, M))
+            C = A @ A.T + 0.05 * np.eye(M)
+            j, k = rng.choice(M, size=2, replace=False)
+            u = rng.dirichlet(np.ones(M))
+            u[[j, k]] = 0.0
+            lam = np.zeros(M)
+            lam[k] = rng.uniform(0.01, 1.0)
+            c = C @ (u / u.sum()) - lam + rng.normal()
+            sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
+            assert ref is not None and ref.lam[j] == 0.0 and ref.lam[k] > 0.0
+            assert_same_face(sol, ref, C, c, noise=[j])
+        assert sum(moved) >= 5, sum(moved)
+
     def test_free_coordinate_solved_to_minus_zero_clips_to_plus_zero(self):
-        # the all-free system solves u_1 to -0.0; the clip must give +0.0, as
-        # np.maximum does (Python's max(-0.0, 0.0) is -0.0)
+        # the all-free face solves u_1 to exactly 0 here (LAPACK's per-mask solve gives -0.0);
+        # the clip must give +0.0 either way, as np.maximum does (Python's max(-0.0, 0.0)
+        # is -0.0)
         C, c = np.array([[3.0, -4.0], [-4.0, 9.0]]), np.array([-4.5, 8.5])
         sol = solve_kkt(C, c)
-        assert_same_point(sol, reference_enumerate_kkt(C, c))
+        assert_same_face(sol, reference_enumerate_kkt(C, c), C, c)
         assert sol.u.tolist() == [0.0, 1.0] and not np.signbit(sol.u).any()
 
     @pytest.mark.parametrize("name", ["golden_example", "golden_qp_dense"])
@@ -266,10 +344,7 @@ class TestStackedEnumeration:
         run_experiment(replace(load_config(DATA / f"{name}.json"), repeats=2))
         assert len(qps) >= 400
         for C, c in qps:
-            sol, ref = solve_kkt(C, c), reference_enumerate_kkt(C, c)
-            assert sol.fallback == (ref is None)
-            if ref is not None:
-                assert_same_point(sol, ref)
+            assert_same_face(solve_kkt(C, c), reference_enumerate_kkt(C, c), C, c)
 
 
 class TestBruteForce:
